@@ -25,21 +25,17 @@ import (
 //	u32 nKeys | nKeys × (u32 byte length, key bytes)
 //	u32 nTiles | nTiles × u32 tile length   (the tile table)
 //	tile data: f64 bits in tile order
-//	u32 CRC-32 (IEEE) of every preceding byte   (version ≥ 2 only)
+//	u32 CRC-32 (IEEE) of every preceding byte
 //
-// Version 2 added the CRC-32 trailer so a reload — a follower resyncing
-// over a flaky network, a remgen restart from a snapshot file — detects
-// corrupt bytes instead of loading garbage that happens to parse.
-// ReadFrom still accepts version 1 streams (no trailer, no integrity
-// check) so snapshots persisted before the bump remain loadable;
-// WriteTo always writes version 2.
+// The CRC-32 trailer means a reload — a follower resyncing over a flaky
+// network, a remgen restart from a snapshot file — detects corrupt
+// bytes instead of loading garbage that happens to parse. Version 1,
+// the pre-trailer format, is refused: accepting it would let any
+// stream skip the integrity check by declaring itself version 1.
 
 const (
 	codecMagic   = "REMT"
 	codecVersion = 2
-
-	// codecVersionNoCRC is the pre-trailer format, still readable.
-	codecVersionNoCRC = 1
 
 	// Codec sanity bounds: a header that declares more than these is
 	// rejected before any large allocation happens, so a corrupt or
@@ -218,8 +214,8 @@ func ReadFrom(r io.Reader) (*Map, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rem: reading format version: %w", err)
 	}
-	if ver != codecVersion && ver != codecVersionNoCRC {
-		return nil, fmt.Errorf("rem: unsupported format version %d (want %d or %d)", ver, codecVersionNoCRC, codecVersion)
+	if ver != codecVersion {
+		return nil, fmt.Errorf("rem: unsupported format version %d (want %d)", ver, codecVersion)
 	}
 	var vol [6]float64
 	for i := range vol {
@@ -312,15 +308,13 @@ func ReadFrom(r io.Reader) (*Map, error) {
 		}
 		m.tiles[t] = tile
 	}
-	if ver >= codecVersion {
-		sum := cr.crc // capture before the trailer read folds itself in
-		trailer, err := cr.u32()
-		if err != nil {
-			return nil, fmt.Errorf("rem: reading checksum trailer: %w", err)
-		}
-		if trailer != sum {
-			return nil, fmt.Errorf("rem: snapshot checksum mismatch: trailer %08x, content %08x", trailer, sum)
-		}
+	sum := cr.crc // capture before the trailer read folds itself in
+	trailer, err := cr.u32()
+	if err != nil {
+		return nil, fmt.Errorf("rem: reading checksum trailer: %w", err)
+	}
+	if trailer != sum {
+		return nil, fmt.Errorf("rem: snapshot checksum mismatch: trailer %08x, content %08x", trailer, sum)
 	}
 	return m, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -162,10 +163,10 @@ func TestCodecChecksumCatchesBitFlips(t *testing.T) {
 	}
 }
 
-// TestCodecReadsVersion1: a pre-trailer stream (format version 1, no
-// CRC) still loads — snapshots persisted before the version bump stay
-// readable across the upgrade.
-func TestCodecReadsVersion1(t *testing.T) {
+// TestCodecRejectsVersion1: a pre-trailer stream (format version 1, no
+// CRC) is refused, with or without a trailer — a version field cannot
+// opt a stream out of the integrity check.
+func TestCodecRejectsVersion1(t *testing.T) {
 	m := randomMap(t, simrand.New(17))
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
@@ -175,18 +176,13 @@ func TestCodecReadsVersion1(t *testing.T) {
 	// bytes the old encoder produced.
 	v1 := append([]byte(nil), buf.Bytes()[:buf.Len()-4]...)
 	PutU32(v1[4:], 1)
-	got, err := ReadFrom(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 stream rejected: %v", err)
-	}
-	if !got.Equal(m) || got.Version() != m.Version() {
-		t.Fatal("version-1 stream decoded differently")
-	}
-	// And a version-1 stream with trailing garbage appended decodes too:
-	// ReadFrom reads exactly the declared layout (the old reader's
-	// behaviour, preserved).
-	if _, err := ReadFrom(bytes.NewReader(append(v1, 0xEE))); err != nil {
-		t.Fatalf("version-1 stream with trailing bytes rejected: %v", err)
+	withTrailer := append([]byte(nil), buf.Bytes()...)
+	PutU32(withTrailer[4:], 1)
+	for name, b := range map[string][]byte{"no trailer": v1, "with trailer": withTrailer} {
+		_, err := ReadFrom(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+			t.Fatalf("version-1 stream (%s): error %v, want unsupported format version", name, err)
+		}
 	}
 }
 

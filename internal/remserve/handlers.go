@@ -41,14 +41,7 @@ type buffers struct {
 	pts     []geom.Vec3
 	vals    []float64
 	skeys   []string
-	req     batchReq
 	wireKey string
-}
-
-// batchReq is the POST /at body shape.
-type batchReq struct {
-	Key    string       `json:"key"`
-	Points [][3]float64 `json:"points"`
 }
 
 var bufPool = sync.Pool{New: func() any { return new(buffers) }}
@@ -279,36 +272,21 @@ func (s *Server) handleStrongest(w http.ResponseWriter, r *http.Request) {
 
 // handleAtBatch serves POST /at: the key is resolved once and the whole
 // batch is answered by one snapshot of the owning store. The request
-// codec follows Content-Type — the binary wire format
-// (application/x-rem-batch, decoded straight into the pooled point
-// buffer with zero text parsing) or JSON (the fast-path scanner with the
-// encoding/json fallback, unchanged) — and the response codec follows
-// Accept independently, so any of the four format pairings works.
-// Bodies over MaxBatchBytes and batches over MaxBatchPoints get 413 on
-// both codecs.
+// codec follows Content-Type (see readBatch) and the response codec
+// follows Accept independently, so any of the four format pairings
+// works.
 func (s *Server) handleAtBatch(w http.ResponseWriter, r *http.Request) {
 	bb := bufPool.Get().(*buffers)
 	defer func() { bufPool.Put(bb) }()
-	body, ok := s.readCappedBody(w, r, bb)
+	key, ok := s.readBatch(w, r, bb, true)
 	if !ok {
-		return
-	}
-	if isWireContentType(r.Header.Get("Content-Type")) {
-		if err := decodeWireBatch(body, bb, s.maxPoints, false); err != nil {
-			we := err.(*wireError)
-			http.Error(w, we.msg, we.status)
-			return
-		}
-	} else if err := s.parseJSONBatch(body, bb, true); err != nil {
-		we := err.(*wireError)
-		http.Error(w, we.msg, we.status)
 		return
 	}
 	if cap(bb.vals) < len(bb.pts) {
 		bb.vals = make([]float64, len(bb.pts))
 	}
 	vals := bb.vals[:len(bb.pts)]
-	ver, err := s.b.AtBatchInto(vals, bb.req.Key, bb.pts)
+	ver, err := s.b.AtBatchInto(vals, key, bb.pts)
 	if err != nil {
 		queryError(w, err)
 		return
@@ -320,7 +298,7 @@ func (s *Server) handleAtBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := append(bb.out[:0], `{"key":`...)
-	b = appendJSONString(b, bb.req.Key)
+	b = appendJSONString(b, key)
 	b = append(b, `,"values":[`...)
 	for i, v := range vals {
 		if i > 0 {
@@ -348,19 +326,7 @@ func (s *Server) handleAtBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStrongestBatch(w http.ResponseWriter, r *http.Request) {
 	bb := bufPool.Get().(*buffers)
 	defer func() { bufPool.Put(bb) }()
-	body, ok := s.readCappedBody(w, r, bb)
-	if !ok {
-		return
-	}
-	if isWireContentType(r.Header.Get("Content-Type")) {
-		if err := decodeWireBatch(body, bb, s.maxPoints, true); err != nil {
-			we := err.(*wireError)
-			http.Error(w, we.msg, we.status)
-			return
-		}
-	} else if err := s.parseJSONBatch(body, bb, false); err != nil {
-		we := err.(*wireError)
-		http.Error(w, we.msg, we.status)
+	if _, ok := s.readBatch(w, r, bb, false); !ok {
 		return
 	}
 	if cap(bb.vals) < len(bb.pts) {
@@ -403,38 +369,74 @@ func (s *Server) handleStrongestBatch(w http.ResponseWriter, r *http.Request) {
 	bb.out = b
 }
 
-// parseJSONBatch is the JSON request codec: the strict fast-path
-// scanner, the encoding/json fallback for anything outside its subset,
-// then the finiteness and batch-size checks — producing bb.req.Key and
-// bb.pts exactly like the binary decoder does. needKey is false on
-// POST /strongest, whose body is `{"points":…}` (a "key" member is
-// accepted and ignored — strongest scans the whole vocabulary).
-func (s *Server) parseJSONBatch(body []byte, bb *buffers, needKey bool) error {
-	if !parseBatchFast(body, &bb.req) {
-		// Outside the fast subset: decode generically, so exotic-but-
-		// legal bodies still work and malformed ones get encoding/json's
-		// diagnostics.
-		bb.req.Key = ""
-		bb.req.Points = bb.req.Points[:0]
-		if err := json.Unmarshal(body, &bb.req); err != nil {
-			return wireErrorf(400, "remserve: bad batch body: %s", err.Error())
-		}
+// readBatch reads a POST /at or POST /strongest body into bb.pts and
+// returns its key. Content-Type picks the codec: the binary wire format
+// (application/x-rem-batch, decoded straight into the pooled point
+// buffer with zero text parsing) or JSON. Both codecs accept the same
+// batches — every point exactly three finite coordinates — and both
+// answer 413 over MaxBatchBytes or MaxBatchPoints. needKey is false on
+// POST /strongest, whose key is optional and ignored. ok is false when
+// a response has already been written.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request, bb *buffers, needKey bool) (key string, ok bool) {
+	body, ok := s.readCappedBody(w, r, bb)
+	if !ok {
+		return "", false
 	}
-	if needKey && bb.req.Key == "" {
-		return wireErrorf(400, `remserve: batch body needs a "key"`)
+	var err *wireError
+	if isWireContentType(r.Header.Get("Content-Type")) {
+		key, err = decodeWireBatch(body, bb, s.maxPoints, !needKey)
+	} else {
+		key, err = s.parseJSONBatch(body, bb, needKey)
 	}
-	if len(bb.req.Points) > s.maxPoints {
-		return wireErrorf(413, "remserve: batch of %d points exceeds the %d-point cap", len(bb.req.Points), s.maxPoints)
+	if err != nil {
+		http.Error(w, err.msg, err.status)
+		return "", false
+	}
+	return key, true
+}
+
+// parseJSONBatch is the JSON request codec: one encoding/json call,
+// then the key, batch-size and row-shape checks, filling bb.pts exactly
+// like decodeWireBatch does. A row that is not exactly (x, y, z) is a
+// 400, never a zero-filled or truncated point.
+func (s *Server) parseJSONBatch(body []byte, bb *buffers, needKey bool) (string, *wireError) {
+	var req struct {
+		Key    string      `json:"key"`
+		Points [][]jsonNum `json:"points"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return "", wireErrorf(400, "remserve: bad batch body: %s", err.Error())
+	}
+	if needKey && req.Key == "" {
+		return "", wireErrorf(400, `remserve: batch body needs a "key"`)
+	}
+	if len(req.Points) > s.maxPoints {
+		return "", wireErrorf(413, "remserve: batch of %d points exceeds the %d-point cap", len(req.Points), s.maxPoints)
 	}
 	bb.pts = bb.pts[:0]
-	for i, q := range bb.req.Points {
-		for _, c := range q {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return wireErrorf(400, "remserve: point %d is not finite", i)
-			}
+	for i, q := range req.Points {
+		if len(q) != 3 {
+			return "", wireErrorf(400, "remserve: point %d has %d coordinates, want 3", i, len(q))
 		}
-		bb.pts = append(bb.pts, geom.V(q[0], q[1], q[2]))
+		bb.pts = append(bb.pts, geom.V(float64(q[0]), float64(q[1]), float64(q[2])))
 	}
+	return req.Key, nil
+}
+
+// jsonNum is one element of a JSON body row. It decodes through
+// strconv rather than as a plain float64 because encoding/json leaves a
+// float64 untouched on null, which would turn [1,null,3] into (1,0,3).
+// encoding/json has already checked the element is valid JSON, so
+// ParseFloat fails exactly on a non-number (null, a string, an array)
+// or one that overflows float64: every decoded jsonNum is finite.
+type jsonNum float64
+
+func (n *jsonNum) UnmarshalJSON(b []byte) error {
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("%s is not a finite number", b)
+	}
+	*n = jsonNum(v)
 	return nil
 }
 
@@ -638,28 +640,19 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// handleStats serves GET /stats (cold path, encoding/json). The stable
-// schema is the "store" object: every backend flavour nests its
-// aggregate counters under the same key, mirroring the follower's
-// {"sync","store"} document, so a scraper reads .store.queries without
-// caring which binary answered. The legacy flat copy of the same
-// fields is spliced in alongside for one release — see the deprecation
-// note in DESIGN.md's Observability section.
+// handleStats serves GET /stats (cold path, encoding/json): the
+// backend's aggregate counters under a "store" key, mirroring the
+// follower's {"sync","store"} document, so a scraper reads
+// .store.queries without caring which binary answered.
 func (s *Server) handleStats(w http.ResponseWriter) {
-	body, err := json.Marshal(s.b.Stats())
+	body, err := json.Marshal(struct {
+		Store Stats `json:"store"`
+	}{s.b.Stats()})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// {"store":{…},…flat copy…}\n — body is "{…}", so its interior
-	// (body[1:]) supplies the deprecated top-level fields verbatim.
-	out := make([]byte, 0, 2*len(body)+len(`{"store":,`)+1)
-	out = append(out, `{"store":`...)
-	out = append(out, body...)
-	out = append(out, ',')
-	out = append(out, body[1:]...)
-	out = append(out, '\n')
-	writeJSON(w, out)
+	writeJSON(w, append(body, '\n'))
 }
 
 // handleHealthz serves GET /healthz: 200 {"status":"serving",…} once

@@ -4,7 +4,6 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -24,7 +23,7 @@ import (
 //
 //	{"key":"aa:bb:…","observations":[[x,y,z,value],…]}
 //
-// parsed by a fast-path scanner with the encoding/json fallback. Both
+// decoded by encoding/json, every row exactly four numbers. Both
 // codecs produce the same canonical WAL bytes, so replay is
 // independent of the wire the observations arrived on. The response is
 // JSON: {"accepted":N,"seq":S} — S the WAL sequence number (0 when the
@@ -44,12 +43,6 @@ type IngestOptions struct {
 	// Token, when non-empty, requires "Authorization: Bearer <Token>"
 	// on POST /observe (constant-time comparison; 401 otherwise).
 	Token string
-}
-
-// observeReq is the JSON body shape of POST /observe.
-type observeReq struct {
-	Key          string       `json:"key"`
-	Observations [][4]float64 `json:"observations"`
 }
 
 // handleObserve serves POST /observe.
@@ -121,17 +114,20 @@ func observeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// parseJSONObserve decodes the JSON observe body: the fast-path
-// scanner for the canonical shape, encoding/json for anything outside
-// it, then the finiteness checks — mirroring parseJSONBatch. The
-// returned batch owns its memory (it outlives the pooled request
-// buffer inside the queue).
+// parseJSONObserve decodes the JSON observe body with one
+// encoding/json call, then checks every row is exactly (x, y, z, value)
+// — the shape a "REMO" message carries, so a short or long row is a
+// 400 here, never a zero-filled or truncated observation in the WAL.
+// Elements decode as jsonNum, so every accepted value is finite. The
+// returned batch owns its memory (it outlives the pooled request buffer
+// inside the queue).
 func parseJSONObserve(body []byte) (remwal.Batch, *wireError) {
-	var req observeReq
-	if !parseObserveFast(body, &req) {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return remwal.Batch{}, wireErrorf(400, "remserve: bad observe body: %s", err.Error())
-		}
+	var req struct {
+		Key          string      `json:"key"`
+		Observations [][]jsonNum `json:"observations"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return remwal.Batch{}, wireErrorf(400, "remserve: bad observe body: %s", err.Error())
 	}
 	if req.Key == "" {
 		return remwal.Batch{}, wireErrorf(400, `remserve: observe body needs a "key"`)
@@ -145,101 +141,11 @@ func parseJSONObserve(body []byte) (remwal.Batch, *wireError) {
 		Values: make([]float64, len(req.Observations)),
 	}
 	for i, o := range req.Observations {
-		for _, c := range o {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return remwal.Batch{}, wireErrorf(400, "remserve: observation %d is not finite", i)
-			}
+		if len(o) != 4 {
+			return remwal.Batch{}, wireErrorf(400, "remserve: observation %d has %d numbers, want 4 (x, y, z, value)", i, len(o))
 		}
-		batch.Points[i] = geom.V(o[0], o[1], o[2])
-		batch.Values[i] = o[3]
+		batch.Points[i] = geom.V(float64(o[0]), float64(o[1]), float64(o[2]))
+		batch.Values[i] = float64(o[3])
 	}
 	return batch, nil
-}
-
-// parseObserveFast is parseBatchFast's 4-wide sibling for the observe
-// shape {"key":"…","observations":[[x,y,z,v],…]}: ok=false falls back
-// to encoding/json, and it never accepts a body the generic decoder
-// would reject with a client-visible error.
-func parseObserveFast(body []byte, req *observeReq) bool {
-	s := batchScanner{b: body}
-	if !s.expect('{') {
-		return false
-	}
-	req.Key = ""
-	req.Observations = req.Observations[:0]
-	sawKey, sawObs := false, false
-	if c, ok := s.peek(); ok && c == '}' {
-		s.i++
-	} else {
-		for {
-			name, ok := s.simpleString()
-			if !ok || !s.expect(':') {
-				return false
-			}
-			switch name {
-			case "key":
-				if sawKey {
-					return false // duplicate field semantics → fallback
-				}
-				sawKey = true
-				k, ok := s.simpleString()
-				if !ok {
-					return false
-				}
-				req.Key = k
-			case "observations":
-				if sawObs {
-					return false
-				}
-				sawObs = true
-				if !s.expect('[') {
-					return false
-				}
-				if c, ok := s.peek(); ok && c == ']' {
-					s.i++
-					break
-				}
-				for {
-					if !s.expect('[') {
-						return false
-					}
-					var o [4]float64
-					for d := 0; d < 4; d++ {
-						v, ok := s.number()
-						if !ok {
-							return false
-						}
-						o[d] = v
-						if d < 3 && !s.expect(',') {
-							return false
-						}
-					}
-					if !s.expect(']') {
-						return false
-					}
-					req.Observations = append(req.Observations, o)
-					if c, ok := s.peek(); ok && c == ',' {
-						s.i++
-						continue
-					}
-					break
-				}
-				if !s.expect(']') {
-					return false
-				}
-			default:
-				return false // unknown field → let encoding/json decide
-			}
-			if c, ok := s.peek(); ok && c == ',' {
-				s.i++
-				continue
-			}
-			break
-		}
-		if !s.expect('}') {
-			return false
-		}
-	}
-	s.ws()
-	return s.i == len(s.b)
 }

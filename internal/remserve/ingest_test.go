@@ -234,45 +234,3 @@ func TestObservePointCap(t *testing.T) {
 		t.Fatalf("wire status %d, want 413", resp.StatusCode)
 	}
 }
-
-// TestObserveFastPathMatchesEncodingJSON pins the fast-path scanner
-// against the generic decoder over accept and reject cases.
-func TestObserveFastPathMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		`{"key":"aa:00","observations":[[1,2,0.5,-48]]}`,
-		`{ "key" : "aa:00" , "observations" : [ [1,2,3,4] , [5,6,7,8] ] }`,
-		`{"observations":[[1,2,3,4]],"key":"aa:00"}`,
-		`{"key":"aa:00","observations":[]}`,
-		`{"key":"","observations":[[1,2,3,4]]}`,
-		`{"key":"aa:00","observations":[[1,2,3]]}`,
-		`{"key":"aa:00","observations":[[1,2,3,4,5]]}`,
-		`{"key":"aa:00","observations":[[1,2,3,"x"]]}`,
-		`{"key":"aa:00"}`,
-		`{"key":"aa:00","observations":[[1e2,-2.5E-1,0.5,-4.8e1]]}`,
-		`{"key":"é","observations":[[1,2,3,4]]}`,
-		`{}`,
-		`[]`,
-		`{"key":"aa:00","observations":[[1,2,3,4]]} trailing`,
-		`{"key":"aa:00","key":"bb:11","observations":[[1,2,3,4]]}`,
-		`{"key":"aa:00","extra":1,"observations":[[1,2,3,4]]}`,
-	}
-	for _, body := range cases {
-		var want observeReq
-		wantErr := json.Unmarshal([]byte(body), &want) != nil
-		var got observeReq
-		if !parseObserveFast([]byte(body), &got) {
-			continue // fallback handles it — always safe
-		}
-		if wantErr {
-			t.Fatalf("fast path accepted %q which encoding/json rejects", body)
-		}
-		if got.Key != want.Key || len(got.Observations) != len(want.Observations) {
-			t.Fatalf("fast path mismatch on %q: got %+v want %+v", body, got, want)
-		}
-		for i := range got.Observations {
-			if got.Observations[i] != want.Observations[i] {
-				t.Fatalf("fast path row %d mismatch on %q", i, body)
-			}
-		}
-	}
-}

@@ -16,8 +16,9 @@ import (
 
 // TestMalformedRequests is the table of everything a client can get
 // wrong: bad and non-finite floats, missing parameters, unknown keys,
-// oversized and malformed batch bodies, wrong methods and unknown
-// paths — each pinned to its status code.
+// oversized and malformed batch bodies, JSON rows of the wrong width,
+// wrong methods and unknown paths — each pinned to its status code. A
+// rejected request leaves the ingest queue as it found it.
 func TestMalformedRequests(t *testing.T) {
 	ss, _, keys := newServedShards(t, 4, 2)
 	// Ingest enabled with the serving vocabulary as validator, so
@@ -73,6 +74,9 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "strongest batch overflow point", method: "POST", path: "/strongest", body: `{"points":[[1,1e999,1]]}`, want: 400},
 		{name: "strongest batch too many points", method: "POST", path: "/strongest",
 			body: `{"points":[[1,1,1],[1,1,1],[1,1,1],[1,1,1],[1,1,1]]}`, want: 413},
+		{name: "strongest batch 2-wide point", method: "POST", path: "/strongest", body: `{"points":[[1,1]]}`, want: 400},
+		{name: "strongest batch 4-wide point", method: "POST", path: "/strongest", body: `{"points":[[1,1,1,1]]}`, want: 400},
+		{name: "strongest batch null coordinate", method: "POST", path: "/strongest", body: `{"points":[[1,null,1]]}`, want: 400},
 		{name: "batch ok", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,1,1]]}`, want: 200},
 		{name: "batch empty points", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[]}`, want: 200},
 		{name: "batch bad json", method: "POST", path: "/at", body: `{"key":`, want: 400},
@@ -81,6 +85,9 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "batch overflow point", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,1e999,1]]}`, want: 400},
 		{name: "batch too many points", method: "POST", path: "/at",
 			body: `{"key":"` + key + `","points":[[1,1,1],[1,1,1],[1,1,1],[1,1,1],[1,1,1]]}`, want: 413},
+		{name: "batch 2-wide point", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,1]]}`, want: 400},
+		{name: "batch 4-wide point", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,1,1,1]]}`, want: 400},
+		{name: "batch null coordinate", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,null,1]]}`, want: 400},
 		{name: "batch oversized body", method: "POST", path: "/at",
 			body: `{"key":"` + key + `","points":[[1,1,1]],"pad":"` + strings.Repeat("x", 300) + `"}`, want: 413},
 		{name: "batch wire truncated body", method: "POST", path: "/at", body: "REMQ\x01\x00", ct: WireContentType, want: 400},
@@ -97,6 +104,12 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "observe empty batch", method: "POST", path: "/observe", body: `{"key":"` + key + `","observations":[]}`, want: 400},
 		{name: "observe non-finite value", method: "POST", path: "/observe",
 			body: `{"key":"` + key + `","observations":[[1,1,1,1e999]]}`, want: 400},
+		{name: "observe 0-wide row", method: "POST", path: "/observe", body: `{"key":"` + key + `","observations":[[]]}`, want: 400},
+		{name: "observe 3-wide row", method: "POST", path: "/observe", body: `{"key":"` + key + `","observations":[[1,1,1]]}`, want: 400},
+		{name: "observe 5-wide row", method: "POST", path: "/observe",
+			body: `{"key":"` + key + `","observations":[[1,1,1,-50,99]]}`, want: 400},
+		{name: "observe null value", method: "POST", path: "/observe", body: `{"key":"` + key + `","observations":[[1,1,1,null]]}`, want: 400},
+		{name: "observe string value", method: "POST", path: "/observe", body: `{"key":"` + key + `","observations":[[1,1,1,"-50"]]}`, want: 400},
 		{name: "observe too many points", method: "POST", path: "/observe",
 			body: `{"key":"` + key + `","observations":[[1,1,1,-50],[1,1,1,-50],[1,1,1,-50],[1,1,1,-50],[1,1,1,-50]]}`, want: 413},
 		{name: "observe oversized body", method: "POST", path: "/observe",
@@ -119,6 +132,7 @@ func TestMalformedRequests(t *testing.T) {
 			if tc.ct != "" {
 				req.Header.Set("Content-Type", tc.ct)
 			}
+			queued := q.Len()
 			r, err := srv.Client().Do(req)
 			if err != nil {
 				t.Fatal(err)
@@ -126,6 +140,9 @@ func TestMalformedRequests(t *testing.T) {
 			r.Body.Close()
 			if r.StatusCode != tc.want {
 				t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, r.StatusCode, tc.want)
+			}
+			if tc.want != 200 && q.Len() != queued {
+				t.Fatalf("rejected request changed the ingest queue length %d → %d", queued, q.Len())
 			}
 			if tc.allow != "" {
 				if got := r.Header.Get("Allow"); got != tc.allow {

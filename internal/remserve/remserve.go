@@ -15,7 +15,8 @@
 //	POST /strongest                batch: {"points":[[x,y,z],…]}
 //	POST /observe                  ingest (Options.Ingest): WAL-durable
 //	                               observation batches, see ingest.go
-//	GET  /stats                    per-shard build/query/eviction counters
+//	GET  /stats                    {"store":…}: per-shard build/query/
+//	                               eviction counters
 //	GET  /snapshot                 binary codec of the serving map (ETag)
 //	GET  /delta?from=<tag>         tile delta since a retained generation
 //	                               (full snapshot when the base is gone)

@@ -236,14 +236,13 @@ func TestRule8OverTheWire(t *testing.T) {
 			}
 
 			// Stats ≡ the marshalled backend stats, nested under the
-			// stable "store" key with the legacy flat copy alongside
-			// (counters quiesced: no requests in flight between the two
-			// reads).
+			// stable "store" key and nothing else (counters quiesced: no
+			// requests in flight between the two reads).
 			raw, err := json.Marshal(ShardedBackend(ss).Stats())
 			if err != nil {
 				t.Fatal(err)
 			}
-			expStats := `{"store":` + string(raw) + `,` + string(raw[1:])
+			expStats := `{"store":` + string(raw) + `}`
 			status, _, body = get(t, srv.URL+"/stats")
 			if status != http.StatusOK {
 				t.Fatalf("GET /stats: status %d", status)
@@ -479,11 +478,11 @@ func TestHammerUnderRebuilds(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					var st Stats
+					var st struct{ Store Stats }
 					err = json.NewDecoder(r.Body).Decode(&st)
 					r.Body.Close()
-					if err != nil || st.Shards != 4 {
-						t.Errorf("GET /stats: %v (shards %d)", err, st.Shards)
+					if err != nil || st.Store.Shards != 4 {
+						t.Errorf("GET /stats: %v (shards %d)", err, st.Store.Shards)
 						return
 					}
 				case 9:

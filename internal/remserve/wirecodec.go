@@ -91,21 +91,21 @@ func wireErrorf(status int, format string, args ...any) *wireError {
 }
 
 // decodeWireBatch parses a "REMQ" batch request into the pooled request
-// buffers: the key is memoised on bb (steady-state requests for the
-// same key allocate nothing) and the coordinates are decoded directly
-// into bb.pts — no intermediate representation, no text. maxPoints
-// mirrors the JSON path's batch cap. allowEmptyKey admits a zero-length
-// key — the POST /strongest form, where the query spans the whole
-// vocabulary and the key field is vestigial.
-func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool) error {
+// buffers and returns its key: the key is memoised on bb (steady-state
+// requests for the same key allocate nothing) and the coordinates are
+// decoded directly into bb.pts — no intermediate representation, no
+// text. maxPoints mirrors the JSON path's batch cap. allowEmptyKey
+// admits a zero-length key — the POST /strongest form, where the query
+// spans the whole vocabulary and the key field is vestigial.
+func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool) (string, *wireError) {
 	if len(body) < wireReqHeaderLen {
-		return wireErrorf(400, "remserve: binary batch header truncated: %d bytes, need %d", len(body), wireReqHeaderLen)
+		return "", wireErrorf(400, "remserve: binary batch header truncated: %d bytes, need %d", len(body), wireReqHeaderLen)
 	}
 	if string(body[:4]) != wireMagicReq {
-		return wireErrorf(400, "remserve: bad binary batch magic %q", body[:4])
+		return "", wireErrorf(400, "remserve: bad binary batch magic %q", body[:4])
 	}
 	if v := rem.U32(body[4:]); v != wireVersion {
-		return wireErrorf(400, "remserve: unsupported binary wire version %d (want %d)", v, wireVersion)
+		return "", wireErrorf(400, "remserve: unsupported binary wire version %d (want %d)", v, wireVersion)
 	}
 	keyLen := rem.U32(body[8:])
 	count := rem.U32(body[12:])
@@ -114,7 +114,7 @@ func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool
 		minKey = 0
 	}
 	if keyLen < minKey || keyLen > rem.WireMaxKeyLen {
-		return wireErrorf(400, "remserve: binary batch key length %d outside [%d, %d]", keyLen, minKey, rem.WireMaxKeyLen)
+		return "", wireErrorf(400, "remserve: binary batch key length %d outside [%d, %d]", keyLen, minKey, rem.WireMaxKeyLen)
 	}
 	// Declared sizes must agree with the body exactly, checked before the
 	// point cap so an overflowed count is reported as the malformed body
@@ -122,10 +122,10 @@ func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool
 	// uint64 so a hostile count cannot wrap a native int and slip past.
 	want := uint64(wireReqHeaderLen) + uint64(keyLen) + uint64(count)*wirePointLen
 	if want != uint64(len(body)) {
-		return wireErrorf(400, "remserve: binary batch declares %d bytes, body has %d", want, len(body))
+		return "", wireErrorf(400, "remserve: binary batch declares %d bytes, body has %d", want, len(body))
 	}
 	if int(count) > maxPoints {
-		return wireErrorf(413, "remserve: binary batch of %d points exceeds the %d-point cap", count, maxPoints)
+		return "", wireErrorf(413, "remserve: binary batch of %d points exceeds the %d-point cap", count, maxPoints)
 	}
 	kb := body[wireReqHeaderLen : wireReqHeaderLen+keyLen]
 	if bb.wireKey != string(kb) {
@@ -133,7 +133,6 @@ func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool
 		// makes it a once-per-key-change cost, not a per-request one.
 		bb.wireKey = string(kb)
 	}
-	bb.req.Key = bb.wireKey
 	if cap(bb.pts) < int(count) {
 		bb.pts = make([]geom.Vec3, 0, count)
 	}
@@ -144,12 +143,12 @@ func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool
 		y := rem.F64(body[off+8:])
 		z := rem.F64(body[off+16:])
 		if !finite(x) || !finite(y) || !finite(z) {
-			return wireErrorf(400, "remserve: binary batch point %d is not finite", i)
+			return "", wireErrorf(400, "remserve: binary batch point %d is not finite", i)
 		}
 		bb.pts[i] = geom.Vec3{X: x, Y: y, Z: z}
 		off += wirePointLen
 	}
-	return nil
+	return bb.wireKey, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -299,17 +299,14 @@ func FuzzWireBatchDecode(f *testing.F) {
 	f.Add(trunc[:len(trunc)-5])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		bb := &buffers{}
-		if err := decodeWireBatch(body, bb, DefaultMaxBatchPoints, false); err != nil {
-			we, ok := err.(*wireError)
-			if !ok {
-				t.Fatalf("non-wireError %T from decode", err)
-			}
-			if we.status != 400 && we.status != 413 {
-				t.Fatalf("decode error status %d, want 400/413", we.status)
+		key, err := decodeWireBatch(body, bb, DefaultMaxBatchPoints, false)
+		if err != nil {
+			if err.status != 400 && err.status != 413 {
+				t.Fatalf("decode error status %d, want 400/413", err.status)
 			}
 			return
 		}
-		rt := AppendBatchRequest(nil, bb.req.Key, bb.pts)
+		rt := AppendBatchRequest(nil, key, bb.pts)
 		if !bytes.Equal(rt, body) {
 			t.Fatalf("accepted non-canonical body:\n in  %x\n out %x", body, rt)
 		}
@@ -323,11 +320,11 @@ func FuzzWireBatchDecode(f *testing.F) {
 func TestWireBatchDecodeZeroAlloc(t *testing.T) {
 	bb := &buffers{}
 	body := AppendBatchRequest(nil, "AA:BB:00:00:00:01", testPoints())
-	if err := decodeWireBatch(body, bb, 16, false); err != nil {
+	if _, err := decodeWireBatch(body, bb, 16, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := decodeWireBatch(body, bb, 16, false); err != nil {
+		if _, err := decodeWireBatch(body, bb, 16, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -335,11 +332,12 @@ func TestWireBatchDecodeZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state binary decode allocates %v/op, want 0", allocs)
 	}
 	other := AppendBatchRequest(nil, "key-b", testPoints()[:1])
-	if err := decodeWireBatch(other, bb, 16, false); err != nil {
+	key, err := decodeWireBatch(other, bb, 16, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bb.req.Key != "key-b" || len(bb.pts) != 1 {
-		t.Fatalf("key change decoded (%q, %d pts), want (%q, 1)", bb.req.Key, len(bb.pts), "key-b")
+	if key != "key-b" || len(bb.pts) != 1 {
+		t.Fatalf("key change decoded (%q, %d pts), want (%q, 1)", key, len(bb.pts), "key-b")
 	}
 }
 
