@@ -11,7 +11,7 @@
 //
 // With -serve, the streamed store is additionally fronted by the
 // remserve HTTP subsystem from the moment the stream starts: clients
-// query /at, /strongest, /stats and download /snapshot while windows
+// query /at, /strongest, /version and download /snapshot while windows
 // keep publishing underneath, and after the stream completes remgen
 // keeps serving the final generation until interrupted. SIGINT/SIGTERM
 // shut down gracefully: the stream stops between windows and the server
@@ -73,6 +73,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -149,14 +150,7 @@ func run() error {
 		if *metrics || *pprofFlg != "" || *events != 0 {
 			return errors.New("-metrics, -pprof and -events instrument the server modes; they have no effect with -query")
 		}
-		switch *queryMode {
-		case "at":
-			return runQuery(*query, *queryKey, *points, *wire)
-		case "strongest":
-			return runQueryStrongest(*query, *points, *wire)
-		default:
-			return fmt.Errorf("unknown -mode %q (want at or strongest)", *queryMode)
-		}
+		return runQuery(*query, *queryMode, *queryKey, *points, *wire)
 	}
 	obs, obsDone, err := setupObservability(*metrics, *events, *pprofFlg)
 	if err != nil {
@@ -312,140 +306,86 @@ func setupObservability(metrics bool, events int, pprofAddr string) (*remobs.Obs
 	return obs, cleanup, nil
 }
 
-// runQuery is the -query client: one batch POST to /at of a running
-// -serve instance, over the JSON or the binary wire. Both wires print
-// the same lines — one shortest-round-trip decimal per value, "null"
-// for a non-finite one — so the CI smoke can diff the two outputs
-// byte for byte (rule 8 over the wire). The serving snapshot version
-// goes to stderr.
-func runQuery(base, key, pointsSpec, wire string) error {
-	if key == "" || pointsSpec == "" {
-		return errors.New("-query needs -key and -points")
+// runQuery is the -query client: one batch POST to /at (-mode at, one
+// key, one value per line) or /strongest (-mode strongest, one "key
+// value" line per point: the best server there) of a running -serve
+// instance, over the JSON or the binary wire. Both wires print the same
+// lines — one shortest-round-trip decimal per value, "null" for a
+// non-finite one — so the CI smoke can diff the two outputs byte for
+// byte (rule 8 over the wire). The serving snapshot version goes to
+// stderr.
+func runQuery(base, mode, key, pointsSpec, wire string) error {
+	switch mode {
+	case "at":
+		if key == "" || pointsSpec == "" {
+			return errors.New("-query needs -key and -points")
+		}
+	case "strongest":
+		if pointsSpec == "" {
+			return errors.New("-query -mode strongest needs -points")
+		}
+	default:
+		return fmt.Errorf("unknown -mode %q (want at or strongest)", mode)
 	}
 	pts, err := parsePoints(pointsSpec)
 	if err != nil {
 		return err
 	}
-	url := strings.TrimRight(base, "/") + "/at"
 
-	var vals []float64
-	var version uint64
+	var body []byte
 	switch wire {
 	case "json":
-		body, err := json.Marshal(struct {
-			Key    string       `json:"key"`
+		req := struct {
+			Key    string       `json:"key,omitempty"`
 			Points [][3]float64 `json:"points"`
-		}{key, pts})
-		if err != nil {
+		}{Points: pts}
+		if mode == "at" {
+			req.Key = key
+		}
+		if body, err = json.Marshal(req); err != nil {
 			return err
 		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /at: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		var out struct {
-			Values  []*float64 `json:"values"`
-			Version uint64     `json:"version"`
-		}
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return err
-		}
-		vals = make([]float64, len(out.Values))
-		for i, v := range out.Values {
-			if v == nil {
-				vals[i] = math.NaN() // prints as "null", like the JSON wire sent it
-			} else {
-				vals[i] = *v
-			}
-		}
-		version = out.Version
 	case "binary":
 		gpts := make([]geom.Vec3, len(pts))
 		for i, p := range pts {
 			gpts[i] = geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
 		}
-		body := remserve.AppendBatchRequest(nil, key, gpts)
-		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", remserve.WireContentType)
-		req.Header.Set("Accept", remserve.WireContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /at: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		if vals, version, err = remserve.DecodeBatchResponse(raw); err != nil {
-			return err
+		if mode == "at" {
+			body = remserve.AppendBatchRequest(nil, key, gpts)
+		} else {
+			body = remserve.AppendStrongestRequest(nil, gpts)
 		}
 	default:
 		return fmt.Errorf("unknown -wire %q (want json or binary)", wire)
 	}
-
-	fmt.Fprintf(os.Stderr, "version %d (%s wire, %d values)\n", version, wire, len(vals))
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			fmt.Println("null")
-		} else {
-			fmt.Println(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	return nil
-}
-
-// runQueryStrongest is the -query -mode strongest client: one batch
-// POST to /strongest, over the JSON or the binary wire, printing one
-// "key value" line per point ("null" for a non-finite value). Like
-// runQuery, both wires print identical lines — the CI smoke diffs them.
-func runQueryStrongest(base, pointsSpec, wire string) error {
-	if pointsSpec == "" {
-		return errors.New("-query -mode strongest needs -points")
-	}
-	pts, err := parsePoints(pointsSpec)
+	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(base, "/")+"/"+mode, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	url := strings.TrimRight(base, "/") + "/strongest"
+	if wire == "json" {
+		req.Header.Set("Content-Type", "application/json")
+	} else {
+		req.Header.Set("Content-Type", remserve.WireContentType)
+		req.Header.Set("Accept", remserve.WireContentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST /%s: %s: %s", mode, resp.Status, strings.TrimSpace(string(raw)))
+	}
 
 	var keys []string
 	var vals []float64
 	var version uint64
-	switch wire {
-	case "json":
-		body, err := json.Marshal(struct {
-			Points [][3]float64 `json:"points"`
-		}{pts})
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /strongest: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
+	switch {
+	case wire == "json":
 		var out struct {
 			Keys    []string   `json:"keys"`
 			Values  []*float64 `json:"values"`
@@ -454,7 +394,7 @@ func runQueryStrongest(base, pointsSpec, wire string) error {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			return err
 		}
-		keys = out.Keys
+		keys, version = out.Keys, out.Version
 		vals = make([]float64, len(out.Values))
 		for i, v := range out.Values {
 			if v == nil {
@@ -463,47 +403,31 @@ func runQueryStrongest(base, pointsSpec, wire string) error {
 				vals[i] = *v
 			}
 		}
-		version = out.Version
-	case "binary":
-		gpts := make([]geom.Vec3, len(pts))
-		for i, p := range pts {
-			gpts[i] = geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
-		}
-		body := remserve.AppendStrongestRequest(nil, gpts)
-		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", remserve.WireContentType)
-		req.Header.Set("Accept", remserve.WireContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /strongest: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		if keys, vals, version, err = remserve.DecodeStrongestResponse(raw); err != nil {
-			return err
-		}
+	case mode == "at":
+		vals, version, err = remserve.DecodeBatchResponse(raw)
 	default:
-		return fmt.Errorf("unknown -wire %q (want json or binary)", wire)
+		keys, vals, version, err = remserve.DecodeStrongestResponse(raw)
 	}
-	if len(keys) != len(vals) {
-		return fmt.Errorf("response has %d keys for %d values", len(keys), len(vals))
+	if err != nil {
+		return err
 	}
 
-	fmt.Fprintf(os.Stderr, "version %d (%s wire, %d points)\n", version, wire, len(keys))
-	for i, k := range keys {
-		if math.IsNaN(vals[i]) || math.IsInf(vals[i], 0) {
-			fmt.Printf("%s null\n", k)
+	if mode == "at" {
+		fmt.Fprintf(os.Stderr, "version %d (%s wire, %d values)\n", version, wire, len(vals))
+	} else {
+		if len(keys) != len(vals) {
+			return fmt.Errorf("response has %d keys for %d values", len(keys), len(vals))
+		}
+		fmt.Fprintf(os.Stderr, "version %d (%s wire, %d points)\n", version, wire, len(keys))
+	}
+	for i, v := range vals {
+		if mode == "strongest" {
+			fmt.Printf("%s ", keys[i])
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			fmt.Println("null")
 		} else {
-			fmt.Printf("%s %s\n", k, strconv.FormatFloat(vals[i], 'g', -1, 64))
+			fmt.Println(strconv.FormatFloat(v, 'g', -1, 64))
 		}
 	}
 	return nil

@@ -57,27 +57,16 @@ func (b followBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 	return nil, false
 }
 
-func (b followBackend) Stats() remserve.Stats {
-	st := b.f.store.Stats()
-	out := remserve.Stats{
-		Shards:    1,
-		Queries:   st.Queries,
-		Publishes: st.Publishes,
-		Evictions: st.Evictions,
-		PerShard:  []remstore.Stats{st},
+// Versions reports the leader's tag verbatim. The tag's arity is the
+// leader's shard count: report it, so a replica's /version is
+// byte-identical to its leader's (the local store is monolithic either
+// way).
+func (b followBackend) Versions() (string, int, int) {
+	g := b.f.gen.Load()
+	if g == nil {
+		return "0", 1, 1
 	}
-	if g := b.f.gen.Load(); g != nil {
-		out.Serving = true
-		out.Version = g.tag
-		// The tag's arity is the leader's shard count: report it, so a
-		// replica's /version is bit-identical to its leader's (the local
-		// store is monolithic either way — PerShard stays length 1).
-		out.Shards = strings.Count(g.tag, ".") + 1
-	} else {
-		out.Version = "0"
-		out.PendingShards = 1
-	}
-	return out
+	return g.tag, strings.Count(g.tag, ".") + 1, 0
 }
 
 // health is the /healthz view: a replica is "serving" while fresh,
@@ -109,13 +98,12 @@ func (f *Follower) syncStats() SyncStats {
 	return s
 }
 
-// SyncStats returns the current replication telemetry (the /stats
-// "sync" section).
+// SyncStats returns the current replication telemetry.
 func (f *Follower) SyncStats() SyncStats { return f.syncStats() }
 
-// ServeHTTP serves the replica's endpoint set: /healthz and /stats are
-// the follower's own (replication-aware — a query front that lies about
-// its staleness is worse than one that is down), everything else is the
+// ServeHTTP serves the replica's endpoint set: /healthz is the
+// follower's own (replication-aware — a query front that lies about its
+// staleness is worse than one that is down), everything else is the
 // standard remserve surface over the local store.
 func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
@@ -126,22 +114,15 @@ func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		f.handleHealthz(w)
-	case "/stats":
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
-			return
-		}
-		f.handleStats(w)
 	default:
 		f.server.ServeHTTP(w, r)
 	}
 }
 
 // handleHealthz writes the replica health probe. Unlike the leader's
-// probe it carries freshness: last-sync age, consecutive failures and
-// the resync count, so "why is this replica unhealthy" is answerable
-// from the probe body alone.
+// probe it carries freshness: last-sync age, consecutive failures, the
+// resync count and the last sync error, so "why is this replica
+// unhealthy" is answerable from the probe body alone.
 func (f *Follower) handleHealthz(w http.ResponseWriter) {
 	status, code, s := f.health()
 	body, err := json.Marshal(struct {
@@ -150,7 +131,8 @@ func (f *Follower) handleHealthz(w http.ResponseWriter) {
 		LastSyncAgeMS       int64  `json:"last_sync_age_ms"`
 		ConsecutiveFailures int    `json:"consecutive_failures"`
 		Resyncs             uint64 `json:"resyncs"`
-	}{status, s.Version, s.LastSyncAgeMS, s.ConsecutiveFailures, s.Resyncs})
+		LastError           string `json:"last_error"`
+	}{status, s.Version, s.LastSyncAgeMS, s.ConsecutiveFailures, s.Resyncs, s.LastError})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -159,21 +141,6 @@ func (f *Follower) handleHealthz(w http.ResponseWriter) {
 	if code != http.StatusOK {
 		w.WriteHeader(code)
 	}
-	w.Write(append(body, '\n'))
-}
-
-// handleStats writes the replication telemetry alongside the local
-// store's serving counters.
-func (f *Follower) handleStats(w http.ResponseWriter) {
-	body, err := json.Marshal(struct {
-		Sync  SyncStats      `json:"sync"`
-		Store remserve.Stats `json:"store"`
-	}{f.syncStats(), followBackend{f}.Stats()})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))
 }
 

@@ -46,7 +46,7 @@ func (f *Follower) initObserver(obs *remobs.Observer) {
 		func() float64 {
 			f.stateMu.Lock()
 			defer f.stateMu.Unlock()
-			return float64(f.fails)
+			return float64(f.stats.ConsecutiveFailures)
 		})
 	stat := func(pick func(SyncStats) uint64) func() float64 {
 		return func() float64 {
@@ -65,6 +65,8 @@ func (f *Follower) initObserver(obs *remobs.Observer) {
 		stat(func(s SyncStats) uint64 { return s.Fulls }))
 	reg.CounterFunc("rem_follow_not_modified_total", "304 polls (already current)",
 		stat(func(s SyncStats) uint64 { return s.NotModified }))
+	reg.CounterFunc("rem_follow_corrupt_total", "failed syncs whose payload a codec rejected (checksum, truncation)",
+		stat(func(s SyncStats) uint64 { return s.Corrupt }))
 	reg.CounterFunc("rem_follow_resyncs_total", "full resyncs forced by corruption or MaxFailures",
 		stat(func(s SyncStats) uint64 { return s.Resyncs }))
 	reg.CounterFunc("rem_follow_delta_bytes_total", "payload bytes applied over the delta path",
@@ -77,7 +79,7 @@ func (f *Follower) initObserver(obs *remobs.Observer) {
 // lifecycle event naming what came over the wire (derived from the
 // stats delta — the counters themselves are bridged, not re-counted)
 // and the backoff state a failure leaves behind.
-func (f *Follower) observeSync(before, after SyncStats, err error, fails int, forceFull bool, d time.Duration) {
+func (f *Follower) observeSync(before, after SyncStats, err error, forceFull bool, d time.Duration) {
 	o := f.o
 	if o == nil {
 		return
@@ -85,7 +87,7 @@ func (f *Follower) observeSync(before, after SyncStats, err error, fails int, fo
 	o.syncHist.Observe(d)
 	if err != nil {
 		o.obs.Event("sync", "fail #%d force_full=%v took=%s err=%v",
-			fails, forceFull, d.Round(time.Millisecond), err)
+			after.ConsecutiveFailures, forceFull, d.Round(time.Millisecond), err)
 		return
 	}
 	kind := "noop"

@@ -60,6 +60,7 @@ func TestFollowerObserver(t *testing.T) {
 		"rem_follow_deltas_total 1",
 		"rem_follow_not_modified_total 1",
 		"rem_follow_failures_total 1",
+		"rem_follow_corrupt_total 0", // a transport failure, not a codec reject
 		"rem_follow_consecutive_failures 1",
 		"rem_follow_sync_seconds_count 4",
 		// The replica's local store is on the same registry.

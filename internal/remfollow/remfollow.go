@@ -26,8 +26,8 @@
 //     the full snapshot rather than keep retrying a delta chain.
 //   - The last good snapshot is never dropped: reads keep serving stale
 //     data while the leader is away, and the staleness is surfaced —
-//     /healthz flips to 503 "stale" past MaxStaleness, /stats reports
-//     the last-sync age, consecutive failures and resync count.
+//     /healthz flips to 503 "stale" past MaxStaleness and reports the
+//     last-sync age, consecutive failures, resync count and last error.
 package remfollow
 
 import (
@@ -116,42 +116,42 @@ type generation struct {
 	tag string
 }
 
-// SyncStats is the replication telemetry /stats serves (alongside the
-// local store's counters).
+// SyncStats is the replication telemetry: /healthz renders its
+// freshness fields and /metrics bridges its counters.
 type SyncStats struct {
 	// Leader is the followed base URL.
-	Leader string `json:"leader"`
+	Leader string
 	// Version is the leader version tag of the serving generation
 	// ("" before the first sync).
-	Version string `json:"version"`
+	Version string
 	// LastSyncAgeMS is how long ago the last successful sync finished,
 	// in milliseconds (-1 before the first).
-	LastSyncAgeMS int64 `json:"last_sync_age_ms"`
+	LastSyncAgeMS int64
 	// Stale reports whether the age exceeds MaxStaleness.
-	Stale bool `json:"stale"`
+	Stale bool
 	// ConsecutiveFailures counts sync failures since the last success.
-	ConsecutiveFailures int `json:"consecutive_failures"`
+	ConsecutiveFailures int
 	// LastError is the most recent sync failure's message, cleared on
 	// the next success — with ConsecutiveFailures, the first thing an
 	// operator needs when a follower goes stale.
-	LastError string `json:"last_error"`
+	LastError string
 	// Syncs counts successful syncs (deltas, fulls and 304s).
-	Syncs uint64 `json:"syncs"`
+	Syncs uint64
 	// Deltas, Fulls and NotModified break the successful syncs down by
 	// what came over the wire.
-	Deltas      uint64 `json:"deltas"`
-	Fulls       uint64 `json:"fulls"`
-	NotModified uint64 `json:"not_modified"`
+	Deltas      uint64
+	Fulls       uint64
+	NotModified uint64
 	// Failures counts failed syncs; Corrupt the subset rejected by a
 	// codec (checksum, truncation); Resyncs the full-snapshot fetches
 	// forced by corruption or MaxFailures.
-	Failures uint64 `json:"failures"`
-	Corrupt  uint64 `json:"corrupt"`
-	Resyncs  uint64 `json:"resyncs"`
+	Failures uint64
+	Corrupt  uint64
+	Resyncs  uint64
 	// DeltaBytes and FullBytes count payload bytes applied per path —
 	// the economics of the delta wire.
-	DeltaBytes uint64 `json:"delta_bytes"`
-	FullBytes  uint64 `json:"full_bytes"`
+	DeltaBytes uint64
+	FullBytes  uint64
 }
 
 // Follower mirrors one leader into a local store. Create with New,
@@ -173,10 +173,9 @@ type Follower struct {
 	rng  func() float64
 
 	// Sync state, owned by the sync loop but read by /healthz and
-	// /stats.
+	// /metrics.
 	stateMu   sync.Mutex
 	lastSync  time.Time
-	fails     int
 	forceFull bool
 	stats     SyncStats
 
@@ -302,7 +301,7 @@ func (f *Follower) Run(ctx context.Context) error {
 // (SyncOnce updated it before returning).
 func (f *Follower) backoff() time.Duration {
 	f.stateMu.Lock()
-	n := f.fails
+	n := f.stats.ConsecutiveFailures
 	f.stateMu.Unlock()
 	if n < 1 {
 		n = 1
@@ -322,7 +321,7 @@ func (f *Follower) backoff() time.Duration {
 // an automatic full-snapshot resync if the delta payload is corrupt.
 // On failure the serving generation is left untouched — stale reads
 // keep working — and the failure is recorded for backoff, /healthz and
-// /stats.
+// /metrics.
 func (f *Follower) SyncOnce(ctx context.Context) error {
 	start := time.Now()
 	f.stateMu.Lock()
@@ -331,27 +330,24 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	err := f.syncOnce(ctx)
 	f.stateMu.Lock()
 	if err != nil {
-		f.fails++
 		f.stats.Failures++
-		f.stats.ConsecutiveFailures = f.fails
+		f.stats.ConsecutiveFailures++
 		f.stats.LastError = err.Error()
-		if f.fails >= f.cfg.MaxFailures {
+		if f.stats.ConsecutiveFailures >= f.cfg.MaxFailures {
 			// A delta chain that keeps failing is not worth resuming:
 			// refetch the whole map next time.
 			f.forceFull = true
 		}
 	} else {
-		f.fails = 0
 		f.stats.ConsecutiveFailures = 0
 		f.stats.LastError = ""
 		f.lastSync = f.cfg.Now()
 		f.stats.Syncs++
 	}
 	after := f.stats
-	fails := f.fails
 	forceFull := f.forceFull
 	f.stateMu.Unlock()
-	f.observeSync(before, after, err, fails, forceFull, time.Since(start))
+	f.observeSync(before, after, err, forceFull, time.Since(start))
 	return err
 }
 

@@ -534,7 +534,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	want := []time.Duration{1 * time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 10 * time.Second, 10 * time.Second}
 	for i, w := range want {
 		f.stateMu.Lock()
-		f.fails = i + 1
+		f.stats.ConsecutiveFailures = i + 1
 		f.stateMu.Unlock()
 		if got := f.backoff(); got != w {
 			t.Fatalf("backoff after %d failures = %v, want %v", i+1, got, w)
@@ -594,9 +594,9 @@ func TestStaleHealthz(t *testing.T) {
 	if status, _, _ := get(t, srv.URL+"/healthz"); status != 200 {
 		t.Fatal("healthz did not recover after sync")
 	}
-	// /stats carries the sync telemetry.
-	if _, _, body := get(t, srv.URL+"/stats"); !strings.Contains(string(body), `"sync"`) || !strings.Contains(string(body), `"leader"`) {
-		t.Fatalf("stats body: %q", body)
+	// No /stats: /healthz and /metrics carry the replica's telemetry.
+	if status, _, _ := get(t, srv.URL+"/stats"); status != http.StatusNotFound {
+		t.Fatalf("GET /stats on a follower: status %d, want 404", status)
 	}
 }
 
@@ -783,7 +783,7 @@ func TestConcurrentReadsDuringSync(t *testing.T) {
 }
 
 // TestStatsSurfacesFailureDetail pins the operator telemetry satellite:
-// /stats carries the consecutive-failure count and the last sync
+// /healthz carries the consecutive-failure count and the last sync
 // error's message while a follower is failing, and clears both on the
 // next success.
 func TestStatsSurfacesFailureDetail(t *testing.T) {
@@ -800,21 +800,19 @@ func TestStatsSurfacesFailureDetail(t *testing.T) {
 
 	fetchStats := func() (int, string) {
 		t.Helper()
-		resp, err := http.Get(fsrv.URL + "/stats")
+		resp, err := http.Get(fsrv.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		var body struct {
-			Sync struct {
-				ConsecutiveFailures int    `json:"consecutive_failures"`
-				LastError           string `json:"last_error"`
-			} `json:"sync"`
+			ConsecutiveFailures int    `json:"consecutive_failures"`
+			LastError           string `json:"last_error"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
-		return body.Sync.ConsecutiveFailures, body.Sync.LastError
+		return body.ConsecutiveFailures, body.LastError
 	}
 
 	if fails, lastErr := fetchStats(); fails != 0 || lastErr != "" {

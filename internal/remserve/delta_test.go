@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rem"
@@ -178,26 +177,11 @@ func TestDeltaEndpointEmpty(t *testing.T) {
 	}
 }
 
-// TestServerTimeouts pins the Options → http.Server wiring: zero means
-// the hardened default, negative disables, positive passes through.
+// TestServerTimeouts pins the http.Server wiring: the listener runs
+// with the hardened default bounds.
 func TestServerTimeouts(t *testing.T) {
-	st := remstore.New(0)
-	hs := NewStore(st, Options{}).httpServer()
+	hs := NewStore(remstore.New(0), Options{}).httpServer()
 	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout || hs.ReadTimeout != DefaultReadTimeout || hs.IdleTimeout != DefaultIdleTimeout {
 		t.Fatalf("default timeouts = %v/%v/%v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
-	}
-	hs = NewStore(st, Options{
-		ReadHeaderTimeout: 7 * time.Second,
-		ReadTimeout:       -1,
-		IdleTimeout:       time.Minute,
-	}).httpServer()
-	if hs.ReadHeaderTimeout != 7*time.Second {
-		t.Fatalf("explicit ReadHeaderTimeout = %v", hs.ReadHeaderTimeout)
-	}
-	if hs.ReadTimeout != 0 {
-		t.Fatalf("disabled ReadTimeout = %v, want 0", hs.ReadTimeout)
-	}
-	if hs.IdleTimeout != time.Minute {
-		t.Fatalf("explicit IdleTimeout = %v", hs.IdleTimeout)
 	}
 }

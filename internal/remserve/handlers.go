@@ -108,11 +108,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.handleObserve(w, r)
-	case "/stats":
-		if !getOrHead(w, r) {
-			return
-		}
-		s.handleStats(w)
 	case "/snapshot":
 		if !getOrHead(w, r) {
 			return
@@ -640,21 +635,6 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// handleStats serves GET /stats (cold path, encoding/json): the
-// backend's aggregate counters under a "store" key, mirroring the
-// follower's {"sync","store"} document, so a scraper reads
-// .store.queries without caring which binary answered.
-func (s *Server) handleStats(w http.ResponseWriter) {
-	body, err := json.Marshal(struct {
-		Store Stats `json:"store"`
-	}{s.b.Stats()})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, append(body, '\n'))
-}
-
 // handleHealthz serves GET /healthz: 200 {"status":"serving",…} once
 // every key-owning shard has published, 503 before — so "poll until
 // healthz is 200" is a complete readiness check for the CI smoke and
@@ -664,11 +644,13 @@ func (s *Server) handleStats(w http.ResponseWriter) {
 // an operator reading the probe sees which failure they have, not a
 // bare status code.
 func (s *Server) handleHealthz(w http.ResponseWriter) {
-	st := s.b.Stats()
+	tag, shards, pending := s.b.Versions()
 	status := "serving"
-	if !st.Serving {
+	if pending > 0 {
 		status = "empty"
-		if st.Publishes > 0 {
+		// Versions have no leading zeros, so a tag with any digit other
+		// than 0 names a shard that has published.
+		if strings.Trim(tag, ".0") != "" {
 			status = "degraded"
 		}
 	}
@@ -676,19 +658,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 	b := append(bb.out[:0], `{"status":"`...)
 	b = append(b, status...)
 	b = append(b, `","shards":`...)
-	b = strconv.AppendInt(b, int64(st.Shards), 10)
-	if st.PendingShards > 0 {
+	b = strconv.AppendInt(b, int64(shards), 10)
+	if pending > 0 {
 		b = append(b, `,"pending_shards":`...)
-		b = strconv.AppendInt(b, int64(st.PendingShards), 10)
+		b = strconv.AppendInt(b, int64(pending), 10)
 	}
 	b = append(b, `,"version":"`...)
-	b = append(b, st.Version...)
+	b = append(b, tag...)
 	b = append(b, "\"}\n"...)
 	h := w.Header()
 	if _, ok := h["Content-Type"]; !ok {
 		h["Content-Type"] = jsonCT
 	}
-	if !st.Serving {
+	if pending > 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	w.Write(b)
@@ -700,12 +682,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 // count, 200 whether or not anything has published (version "0"s until
 // then).
 func (s *Server) handleVersion(w http.ResponseWriter) {
-	st := s.b.Stats()
+	tag, shards, _ := s.b.Versions()
 	bb := bufPool.Get().(*buffers)
 	b := append(bb.out[:0], `{"version":"`...)
-	b = append(b, st.Version...)
+	b = append(b, tag...)
 	b = append(b, `","shards":`...)
-	b = strconv.AppendInt(b, int64(st.Shards), 10)
+	b = strconv.AppendInt(b, int64(shards), 10)
 	b = append(b, "}\n"...)
 	writeJSON(w, b)
 	bb.out = b

@@ -118,7 +118,7 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "observe wire wrong magic", method: "POST", path: "/observe",
 			body: "XERT" + strings.Repeat("\x00", 12), ct: WireContentType, want: 400},
 		{name: "snapshot wrong method", method: "POST", path: "/snapshot", body: "{}", want: 405, allow: "GET"},
-		{name: "stats wrong method", method: "PUT", path: "/stats", body: "{}", want: 405, allow: "GET"},
+		{name: "stats gone", method: "GET", path: "/stats", want: 404},
 		{name: "healthz wrong method", method: "POST", path: "/healthz", body: "{}", want: 405, allow: "GET"},
 		{name: "version wrong method", method: "PATCH", path: "/version", body: "{}", want: 405, allow: "GET"},
 		{name: "unknown path", method: "GET", path: "/nope", want: 404},
@@ -183,12 +183,12 @@ func TestEmptyAndPartialStores(t *testing.T) {
 			t.Fatalf("GET %s on empty store: status %d, want 503 (%s)", path, status, body)
 		}
 	}
-	// /version and /stats answer even when empty.
+	if _, _, body := get(t, srv.URL+"/healthz"); string(body) != `{"status":"empty","shards":2,"pending_shards":2,"version":"0.0"}`+"\n" {
+		t.Fatalf("empty store healthz body %q", body)
+	}
+	// /version answers even when empty.
 	if status, _, body := get(t, srv.URL+"/version"); status != 200 || string(body) != "{\"version\":\"0.0\",\"shards\":2}\n" {
 		t.Fatalf("GET /version on empty store: status %d body %q", status, body)
-	}
-	if status, _, _ := get(t, srv.URL+"/stats"); status != 200 {
-		t.Fatalf("GET /stats on empty store: status %d", status)
 	}
 
 	// Publish shard 0 only: its keys serve, shard 1's still 503, and
@@ -210,7 +210,7 @@ func TestEmptyAndPartialStores(t *testing.T) {
 	// condition and counts the pending shards, so the probe distinguishes
 	// a store mid-first-round from one that has never published.
 	if status, _, body := get(t, srv.URL+"/healthz"); status != http.StatusServiceUnavailable ||
-		!strings.Contains(string(body), `"degraded"`) || !strings.Contains(string(body), `"pending_shards":1`) {
+		string(body) != `{"status":"degraded","shards":2,"pending_shards":1,"version":"1.0"}`+"\n" {
 		t.Fatalf("partial store healthz: status %d body %q, want 503 degraded with pending_shards", status, body)
 	}
 
@@ -218,7 +218,7 @@ func TestEmptyAndPartialStores(t *testing.T) {
 	if _, err := ss.Rebuild([]int{2, 3}, testPredict, rem.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, body := get(t, srv.URL+"/healthz"); status != 200 || !strings.Contains(string(body), `"serving"`) {
+	if status, _, body := get(t, srv.URL+"/healthz"); status != 200 || string(body) != `{"status":"serving","shards":2,"version":"1.1"}`+"\n" {
 		t.Fatalf("complete store healthz: status %d body %q", status, body)
 	}
 	if status, _, _ := get(t, srv.URL+"/snapshot"); status != 200 {

@@ -23,7 +23,6 @@ const (
 	epAt = iota
 	epStrongest
 	epObserve
-	epStats
 	epSnapshot
 	epDelta
 	epHealthz
@@ -34,7 +33,7 @@ const (
 )
 
 var endpointNames = [numEndpoints]string{
-	"at", "strongest", "observe", "stats", "snapshot", "delta",
+	"at", "strongest", "observe", "snapshot", "delta",
 	"healthz", "version", "metrics", "other",
 }
 
@@ -48,8 +47,6 @@ func endpointIndex(path string) int {
 		return epStrongest
 	case "/observe":
 		return epObserve
-	case "/stats":
-		return epStats
 	case "/snapshot":
 		return epSnapshot
 	case "/delta":

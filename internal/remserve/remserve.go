@@ -15,8 +15,6 @@
 //	POST /strongest                batch: {"points":[[x,y,z],…]}
 //	POST /observe                  ingest (Options.Ingest): WAL-durable
 //	                               observation batches, see ingest.go
-//	GET  /stats                    {"store":…}: per-shard build/query/
-//	                               eviction counters
 //	GET  /snapshot                 binary codec of the serving map (ETag)
 //	GET  /delta?from=<tag>         tile delta since a retained generation
 //	                               (full snapshot when the base is gone)
@@ -31,7 +29,7 @@
 // honours If-None-Match — an unchanged map costs one header exchange.
 //
 // Determinism contract rule 8 extends over the wire: the bytes served
-// by /at, /strongest, /stats and /snapshot are exactly what the direct
+// by /at, /strongest and /snapshot are exactly what the direct
 // library calls return (for /snapshot, byte-identical to
 // Map.WriteTo of the same serving generation), for any partitioner and
 // shard count, under concurrent rebuilds. The hot handlers allocate
@@ -90,37 +88,11 @@ type Backend interface {
 	// generation is no longer retained (or the tag never named one), and
 	// the server falls back to a full snapshot.
 	SnapshotAt(tag string) (*rem.Map, bool)
-	// Stats returns the normalised aggregate view.
-	Stats() Stats
-}
-
-// Stats is the backend-neutral aggregate the /stats, /healthz and
-// /version endpoints serve. PerShard holds one remstore.Stats per shard
-// (exactly one for a monolithic store), so per-shard publish, query and
-// eviction counters and serving snapshot versions are always visible.
-type Stats struct {
-	// Serving is true once every shard that owns keys has published.
-	Serving bool `json:"serving"`
-	// Shards is the shard count (1 for a monolithic store).
-	Shards int `json:"shards"`
-	// Version is the dotted per-shard serving-version tag ("0" entries
-	// for shards that have not published).
-	Version string `json:"version"`
-	// Rounds counts sharded rebuild rounds (0 for a monolithic store).
-	Rounds uint64 `json:"rounds"`
-	// Queries counts logical queries — one per At/Strongest, one per
-	// point of a batch — the monolithic-equivalent figure (rule 8).
-	Queries uint64 `json:"queries"`
-	// Publishes sums snapshot publishes across shards.
-	Publishes uint64 `json:"publishes"`
-	// Evictions sums retention evictions across shards.
-	Evictions uint64 `json:"evictions"`
-	// PendingShards counts key-owning shards that have not published yet
-	// (0 once serving). /healthz names the store "degraded" — not merely
-	// "empty" — when some but not all shards are pending.
-	PendingShards int `json:"pending_shards"`
-	// PerShard is each shard store's own counters, indexed by shard.
-	PerShard []remstore.Stats `json:"per_shard"`
+	// Versions reports what /healthz and /version render: the dotted
+	// per-shard serving-version tag ("0" entries for shards that have not
+	// published), the shard count, and how many key-owning shards have
+	// not published yet (0 once serving).
+	Versions() (tag string, shards, pending int)
 }
 
 // versionTag renders the serving versions as the dotted tag used by
@@ -200,21 +172,11 @@ func (b storeBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 	return s.Map(), true
 }
 
-func (b storeBackend) Stats() Stats {
-	st := b.st.Stats()
-	out := Stats{
-		Serving:   st.CurrentVersion > 0,
-		Shards:    1,
-		Version:   versionTag([]uint64{st.CurrentVersion}),
-		Queries:   st.Queries,
-		Publishes: st.Publishes,
-		Evictions: st.Evictions,
-		PerShard:  []remstore.Stats{st},
+func (b storeBackend) Versions() (string, int, int) {
+	if s := b.st.Current(); s != nil {
+		return strconv.FormatUint(s.Version(), 10), 1, 0
 	}
-	if !out.Serving {
-		out.PendingShards = 1
-	}
-	return out
+	return "0", 1, 1
 }
 
 // shardedBackend fronts a remshard.ShardedStore.
@@ -257,27 +219,18 @@ func (b shardedBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 	return b.ss.MergedSnapshotAt(versions)
 }
 
-func (b shardedBackend) Stats() Stats {
-	st := b.ss.Stats()
-	out := Stats{
-		Serving:  true,
-		Shards:   st.Shards,
-		Rounds:   st.Rounds,
-		Queries:  st.Queries,
-		PerShard: st.PerShard,
-	}
-	versions := make([]uint64, st.Shards)
-	for si, ps := range st.PerShard {
-		versions[si] = ps.CurrentVersion
-		out.Publishes += ps.Publishes
-		out.Evictions += ps.Evictions
-		if ps.CurrentVersion == 0 && b.ss.ShardLen(si) > 0 {
-			out.Serving = false
-			out.PendingShards++
+func (b shardedBackend) Versions() (string, int, int) {
+	n := b.ss.NumShards()
+	versions := make([]uint64, n)
+	pending := 0
+	for si := 0; si < n; si++ {
+		if cur := b.ss.StoreOf(si).Current(); cur != nil {
+			versions[si] = cur.Version()
+		} else if b.ss.ShardLen(si) > 0 {
+			pending++
 		}
 	}
-	out.Version = versionTag(versions)
-	return out
+	return versionTag(versions), n, pending
 }
 
 const (
@@ -316,30 +269,12 @@ type Options struct {
 	// Ingest enables POST /observe: a queue to submit into and an
 	// optional bearer token. The zero value leaves the server read-only.
 	Ingest IngestOptions
-	// ReadHeaderTimeout, ReadTimeout and IdleTimeout harden the listener
-	// against stalled and idle clients. Zero means the package default
-	// (DefaultReadHeaderTimeout etc.); negative disables that bound.
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	IdleTimeout       time.Duration
 	// Observer attaches the observability layer: per-endpoint request
 	// counters and latency histograms (split by wire codec and status
 	// class) plus GET /metrics exposition of the observer's registry.
 	// nil (the default) keeps the server uninstrumented — /metrics
 	// answers 404 and the request path pays one pointer test.
 	Observer *remobs.Observer
-}
-
-// timeoutOr resolves one Options timeout: zero → default, negative →
-// disabled (0 in net/http terms).
-func timeoutOr(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // Server is the HTTP front. It is an http.Handler (mount it anywhere)
@@ -352,10 +287,6 @@ type Server struct {
 	limiter     *limiter
 	ingestQ     *remwal.Queue
 	ingestToken string
-
-	readHeaderTimeout time.Duration
-	readTimeout       time.Duration
-	idleTimeout       time.Duration
 
 	obs     *remobs.Observer
 	metrics *serveMetrics
@@ -374,15 +305,12 @@ func New(b Backend, opts Options) *Server {
 		opts.MaxBatchPoints = DefaultMaxBatchPoints
 	}
 	s := &Server{
-		b:                 b,
-		maxBytes:          opts.MaxBatchBytes,
-		maxPoints:         opts.MaxBatchPoints,
-		limiter:           newLimiter(opts.RateLimit),
-		ingestQ:           opts.Ingest.Queue,
-		ingestToken:       opts.Ingest.Token,
-		readHeaderTimeout: timeoutOr(opts.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		readTimeout:       timeoutOr(opts.ReadTimeout, DefaultReadTimeout),
-		idleTimeout:       timeoutOr(opts.IdleTimeout, DefaultIdleTimeout),
+		b:           b,
+		maxBytes:    opts.MaxBatchBytes,
+		maxPoints:   opts.MaxBatchPoints,
+		limiter:     newLimiter(opts.RateLimit),
+		ingestQ:     opts.Ingest.Queue,
+		ingestToken: opts.Ingest.Token,
 	}
 	if opts.Observer != nil {
 		s.obs = opts.Observer
@@ -402,13 +330,13 @@ func NewSharded(ss *remshard.ShardedStore, opts Options) *Server {
 }
 
 // httpServer assembles the hardened net/http server Serve runs: the
-// handler plus the configured connection-lifecycle bounds.
+// handler plus the package's connection-lifecycle bounds.
 func (s *Server) httpServer() *http.Server {
 	return &http.Server{
 		Handler:           s,
-		ReadHeaderTimeout: s.readHeaderTimeout,
-		ReadTimeout:       s.readTimeout,
-		IdleTimeout:       s.idleTimeout,
+		ReadHeaderTimeout: DefaultReadHeaderTimeout,
+		ReadTimeout:       DefaultReadTimeout,
+		IdleTimeout:       DefaultIdleTimeout,
 	}
 }
 

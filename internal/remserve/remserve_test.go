@@ -111,8 +111,7 @@ func get(t testing.TB, url string) (int, http.Header, []byte) {
 // 1, 2 and 4, every byte served over HTTP equals what the direct
 // library calls return — /at and /strongest render the exact value
 // bits the sharded store (and, by rule 8, the monolithic map) answers,
-// /snapshot streams exactly MergedSnapshot().WriteTo, and /stats is
-// exactly the marshalled backend stats.
+// and /snapshot streams exactly MergedSnapshot().WriteTo.
 func TestRule8OverTheWire(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -234,22 +233,6 @@ func TestRule8OverTheWire(t *testing.T) {
 			if !restored.Equal(merged) {
 				t.Fatal("snapshot bytes do not restore the serving map")
 			}
-
-			// Stats ≡ the marshalled backend stats, nested under the
-			// stable "store" key and nothing else (counters quiesced: no
-			// requests in flight between the two reads).
-			raw, err := json.Marshal(ShardedBackend(ss).Stats())
-			if err != nil {
-				t.Fatal(err)
-			}
-			expStats := `{"store":` + string(raw) + `}`
-			status, _, body = get(t, srv.URL+"/stats")
-			if status != http.StatusOK {
-				t.Fatalf("GET /stats: status %d", status)
-			}
-			if string(body) != expStats+"\n" {
-				t.Fatalf("GET /stats bytes:\n got %s\nwant %s", body, expStats)
-			}
 		})
 	}
 }
@@ -368,7 +351,7 @@ func TestETagTracksRebuilds(t *testing.T) {
 }
 
 // TestHammerUnderRebuilds is the acceptance hammer: HTTP readers on
-// /at, /strongest, /snapshot, /stats and /healthz race a writer that
+// /at, /strongest, /snapshot, /version and /healthz race a writer that
 // keeps republishing shards. Run under -race this proves the serving
 // path shares no unsynchronised state with rebuilds; every response
 // must be well-formed and every value must equal the library's answer
@@ -473,16 +456,16 @@ func TestHammerUnderRebuilds(t *testing.T) {
 						return
 					}
 				case 7:
-					r, err := client.Get(srv.URL + "/stats")
+					r, err := client.Get(srv.URL + "/version")
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					var st struct{ Store Stats }
-					err = json.NewDecoder(r.Body).Decode(&st)
+					var v struct{ Shards int }
+					err = json.NewDecoder(r.Body).Decode(&v)
 					r.Body.Close()
-					if err != nil || st.Store.Shards != 4 {
-						t.Errorf("GET /stats: %v (shards %d)", err, st.Store.Shards)
+					if err != nil || v.Shards != 4 {
+						t.Errorf("GET /version: %v (shards %d)", err, v.Shards)
 						return
 					}
 				case 9:

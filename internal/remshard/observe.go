@@ -10,8 +10,7 @@ import (
 // uninstrumented. The store-level counters deliberately reuse the
 // rem_store_* names the monolithic backend exposes — one process
 // serves one backend flavour, and operators should not need two
-// dashboards for the same concept (the /stats schema converges the
-// same way).
+// dashboards for the same concept.
 type shardObs struct {
 	obs         *remobs.Observer
 	rebuildHist *remobs.Histogram

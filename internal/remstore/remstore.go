@@ -417,23 +417,24 @@ func (st *Store) liveTilesLocked() int {
 	return live
 }
 
-// Stats is an aggregate view of the store. The json tags are the wire
-// shape the remserve /stats endpoint exposes per shard.
+// Stats is an aggregate view of the store: the library's one counter
+// source (SetObserver bridges the serving subset as rem_store_* at
+// scrape time).
 type Stats struct {
 	// Publishes counts snapshots ever published.
-	Publishes uint64 `json:"publishes"`
+	Publishes uint64
 	// Queries counts queries served across all snapshots (each point of
 	// a batch query counts once).
-	Queries uint64 `json:"queries"`
+	Queries uint64
 	// CurrentVersion is the serving snapshot's version (0 when empty).
-	CurrentVersion uint64 `json:"current_version"`
+	CurrentVersion uint64
 	// HistoryLen is the retained snapshot count.
-	HistoryLen int `json:"history_len"`
+	HistoryLen int
 	// Evictions counts snapshots dropped by the retention policy.
-	Evictions uint64 `json:"evictions"`
+	Evictions uint64
 	// LiveTiles is the distinct tile count the retained history
 	// references (see Store.LiveTiles).
-	LiveTiles int `json:"live_tiles"`
+	LiveTiles int
 }
 
 // Stats returns the aggregate counters.
