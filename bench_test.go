@@ -1079,6 +1079,17 @@ func BenchmarkServeAtObserved(b *testing.B) {
 // resolution.
 func benchStrongestMap(b *testing.B) (*rem.Map, []string) {
 	b.Helper()
+	predict, keys := benchStrongestField()
+	m, err := rem.BuildMapBatch(geom.PaperScanVolume(), 12, 10, 6, keys, predict, rem.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, keys
+}
+
+// benchStrongestField is the 44-AP log-distance field behind
+// benchStrongestMap: its batched predictor and vocabulary.
+func benchStrongestField() (rem.BatchPredictFunc, []string) {
 	const nKeys = 44
 	keys := make([]string, nKeys)
 	for i := range keys {
@@ -1100,11 +1111,25 @@ func benchStrongestMap(b *testing.B) (*rem.Map, []string) {
 		}
 		return out, nil
 	}
-	m, err := rem.BuildMapBatch(geom.PaperScanVolume(), 12, 10, 6, keys, predict, rem.BuildOptions{})
+	return predict, keys
+}
+
+// benchStrongestSharded publishes the same 44-AP field into a 4-shard
+// store (hash partitioner, publish-time coverage indexes) — the shape
+// behind POST /strongest on a sharded leader.
+func benchStrongestSharded(b *testing.B) *remshard.ShardedStore {
+	b.Helper()
+	predict, keys := benchStrongestField()
+	st, err := remshard.New(keys, remshard.Config{
+		Shards: 4, Volume: geom.PaperScanVolume(), Resolution: [3]int{12, 10, 6},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return m, keys
+	if _, err := st.Rebuild(benchAllKeys(len(keys)), predict, rem.BuildOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	return st
 }
 
 // reportCoverStats attaches the index shape to a benchmark: mean
@@ -1168,6 +1193,43 @@ func BenchmarkStrongestBatch512(b *testing.B) {
 		}
 	}
 	reportCoverStats(b, m)
+}
+
+// BenchmarkShardedStrongest is BenchmarkStrongest through the 4-shard
+// store: one serving-snapshot load per shard, one locate, and only the
+// shards whose cube bound reaches the global threshold are scanned.
+func BenchmarkShardedStrongest(b *testing.B) {
+	st := benchStrongestSharded(b)
+	pts := benchQueryPoints(512)
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, v, _, err := st.Strongest(pts[i%len(pts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink += v
+	}
+	_ = sink
+}
+
+// BenchmarkShardedStrongestBatch512 is BenchmarkStrongestBatch512
+// through the 4-shard store (the engine behind POST /strongest on a
+// sharded leader): same field, same 512 points, bit-identical answers,
+// zero allocations.
+func BenchmarkShardedStrongestBatch512(b *testing.B) {
+	st := benchStrongestSharded(b)
+	pts := benchQueryPoints(512)
+	keys := make([]string, len(pts))
+	vals := make([]float64, len(pts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.StrongestBatchInto(keys, vals, pts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkStrongestBatch512Brute is the same batch through the brute

@@ -25,9 +25,10 @@ import (
 //	       somewhere in the cube, so they guarantee nothing),
 //	A    = max |finite corner| over every key (the amplitude the
 //	       rounding-error margin scales with),
+//	U    = max over keys of ub_k, the corner max ignoring NaN corners
+//	       (-Inf when every corner of every key is NaN),
 //	amax = a key index attaining L,
-//	mask = the candidate set {k : ub_k >= L - A*coverMarginFrac}, where
-//	       ub_k is the corner max ignoring NaN corners.
+//	mask = the candidate set {k : ub_k >= L - A*coverMarginFrac}.
 //
 // Soundness: the computed trilinear sum deviates from the exact convex
 // combination by at most a few tens of ulps of A (the 8 weights are
@@ -38,6 +39,12 @@ import (
 // the same strict > as the brute loop then reproduces the brute scan
 // bit-for-bit, ties included — determinism rule 9 (indexed ≡ scan),
 // quickchecked in coverindex_test.go.
+//
+// U lifts the same argument across maps that partition one vocabulary
+// (StrongestAcrossInto, the sharded best-server path): with the global
+// threshold T = max_s L_s - max_s A_s*coverMarginFrac, every key of a
+// part whose U_s < T is below the winner everywhere in the cube, so the
+// whole part is skipped without reading its mask.
 //
 // Non-finite corners: a NaN corner makes the interpolant NaN over the
 // whole cube (a zero weight times NaN is still NaN), and NaN never beats
@@ -66,6 +73,9 @@ type coverTile struct {
 	lower []float64
 	// amp[c] is A: the largest |finite corner| any key has in cube c.
 	amp []float64
+	// upper[c] is U: an upper bound on every key's corner maximum in cube
+	// c — exact after fillCube, possibly stale-high after a mend.
+	upper []float64
 	// argmax[c] is a key index attaining lower[c]; mends use it to decide
 	// whether the cheap update path is exact (the attainer is clean) or a
 	// full recompute is needed (the attainer's cells changed).
@@ -87,6 +97,7 @@ func newCoverTile(n, words int) *coverTile {
 	return &coverTile{
 		lower:  make([]float64, n),
 		amp:    make([]float64, n),
+		upper:  make([]float64, n),
 		argmax: make([]uint32, n),
 		mask:   make([]uint64, n*words),
 	}
@@ -96,6 +107,7 @@ func cloneCoverTile(src *coverTile) *coverTile {
 	return &coverTile{
 		lower:  append([]float64(nil), src.lower...),
 		amp:    append([]float64(nil), src.amp...),
+		upper:  append([]float64(nil), src.upper...),
 		argmax: append([]uint32(nil), src.argmax...),
 		mask:   append([]uint64(nil), src.mask...),
 	}
@@ -146,7 +158,7 @@ func (m *Map) CoverIndexStats() (stats CoverStats, ok bool) {
 		for _, w := range ct.mask {
 			stats.Candidates += bits.OnesCount64(w)
 		}
-		stats.Bytes += len(ct.lower)*8 + len(ct.amp)*8 + len(ct.argmax)*4 + len(ct.mask)*8
+		stats.Bytes += len(ct.lower)*8 + len(ct.amp)*8 + len(ct.upper)*8 + len(ct.argmax)*4 + len(ct.mask)*8
 	}
 	return stats, true
 }
@@ -210,13 +222,16 @@ func (m *Map) fillCube(ct *coverTile, words, slot, cube int, ubs []float64) {
 	cx := cube % m.nx
 	cy := (cube / m.nx) % m.ny
 	cz := cube / (m.nx * m.ny)
-	L, A := math.Inf(-1), 0.0
+	L, A, U := math.Inf(-1), 0.0, math.Inf(-1)
 	amax := 0
 	for ki := range m.keys {
 		lb, ub, a := m.cubeBounds(ki, cx, cy, cz)
 		ubs[ki] = ub
 		if a > A {
 			A = a
+		}
+		if ub > U {
+			U = ub
 		}
 		// Strict >, so amax lands on the first key attaining L — the same
 		// key the brute scan's tie rule favours.
@@ -236,6 +251,7 @@ func (m *Map) fillCube(ct *coverTile, words, slot, cube int, ubs []float64) {
 	}
 	ct.lower[slot] = L
 	ct.amp[slot] = A
+	ct.upper[slot] = U
 	ct.argmax[slot] = uint32(amax)
 }
 
@@ -397,8 +413,9 @@ func (m *Map) mendCover(ci *coverIndex, changed []int) *coverIndex {
 
 // mendCube updates one cube's entry after the dirty keys' cells changed.
 // The cheap path is exact for L (the clean attainer still witnesses the
-// old maximum) and conservative for A (it only grows, widening the
-// margin); it falls back to fillCube when the old attainer is dirty or
+// old maximum) and conservative for A and U (they only grow: A widening
+// the margin, U staying above every clean key's unchanged bound); it
+// falls back to fillCube when the old attainer is dirty or
 // the threshold would loosen, both of which would otherwise let a stale
 // exclusion turn unsound.
 func (m *Map) mendCube(ct *coverTile, words, slot, cube int, dirty []int, isDirty []bool, ubs []float64) {
@@ -412,12 +429,15 @@ func (m *Map) mendCube(ct *coverTile, words, slot, cube int, dirty []int, isDirt
 	cz := cube / (m.nx * m.ny)
 	oldL, oldA := ct.lower[slot], ct.amp[slot]
 	oldT := oldL - oldA*coverMarginFrac
-	L, A, amax := oldL, oldA, oldAmax
+	L, A, U, amax := oldL, oldA, ct.upper[slot], oldAmax
 	for _, ki := range dirty {
 		lb, ub, a := m.cubeBounds(ki, cx, cy, cz)
 		ubs[ki] = ub
 		if a > A {
 			A = a
+		}
+		if ub > U {
+			U = ub
 		}
 		if lb > L {
 			L, amax = lb, ki
@@ -463,6 +483,7 @@ func (m *Map) mendCube(ct *coverTile, words, slot, cube int, dirty []int, isDirt
 	}
 	ct.lower[slot] = L
 	ct.amp[slot] = A
+	ct.upper[slot] = U
 	ct.argmax[slot] = uint32(amax)
 }
 
@@ -496,7 +517,7 @@ func mergeCover(m *Map, parts []*Map, partOf, localOf []int) *coverIndex {
 			cx := cube % m.nx
 			cy := (cube / m.nx) % m.ny
 			cz := cube / (m.nx * m.ny)
-			L, A := math.Inf(-1), 0.0
+			L, A, U := math.Inf(-1), 0.0, math.Inf(-1)
 			amax := 0
 			for pi := range parts {
 				pt := cis[pi].tiles[t]
@@ -506,6 +527,9 @@ func mergeCover(m *Map, parts []*Map, partOf, localOf []int) *coverIndex {
 				}
 				if pa := pt.amp[slot]; pa > A {
 					A = pa
+				}
+				if pu := pt.upper[slot]; pu > U {
+					U = pu
 				}
 			}
 			T := L - A*coverMarginFrac
@@ -545,6 +569,7 @@ func mergeCover(m *Map, parts []*Map, partOf, localOf []int) *coverIndex {
 			}
 			ct.lower[slot] = L
 			ct.amp[slot] = A
+			ct.upper[slot] = U
 			ct.argmax[slot] = uint32(amax)
 		}
 		ci.tiles[t] = ct

@@ -326,3 +326,248 @@ func TestCoverIndexSharing(t *testing.T) {
 	rng := simrand.New(8)
 	requireRule9(t, rng, next, "dirty-key mend")
 }
+
+// acrossField is a gnarly field with per-key generations: key gi draws
+// from gnarlyPredict salted by its generation, and keys marked nan are
+// NaN everywhere. The whole map and every part map are rasterised from
+// it, so they agree cell for cell.
+type acrossField struct {
+	salt uint64
+	gen  []uint64
+	nan  []bool
+}
+
+func (f *acrossField) predict(centers []geom.Vec3, gi int) ([]float64, error) {
+	if f.nan[gi] {
+		out := make([]float64, len(centers))
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out, nil
+	}
+	return gnarlyPredict(f.salt^f.gen[gi]*0x2545F4914F6CDD1D)(centers, gi)
+}
+
+// local adapts predict to a part whose local key k is global key
+// global[k].
+func (f *acrossField) local(global []int) BatchPredictFunc {
+	return func(centers []geom.Vec3, k int) ([]float64, error) { return f.predict(centers, global[k]) }
+}
+
+// requireUpperSound asserts that every cube's U bounds every key's
+// corner maximum, recomputed from the cells with cubeBounds.
+func requireUpperSound(t *testing.T, m *Map, tag string) {
+	t.Helper()
+	ci := m.cover.Load()
+	if ci == nil {
+		return
+	}
+	for cube := 0; cube < m.stride; cube++ {
+		cx, cy, cz := cube%m.nx, (cube/m.nx)%m.ny, cube/(m.nx*m.ny)
+		want := math.Inf(-1)
+		for ki := range m.keys {
+			if _, ub, _ := m.cubeBounds(ki, cx, cy, cz); ub > want {
+				want = ub
+			}
+		}
+		if got := ci.tiles[cube>>tileShift].upper[cube&tileMask]; !(got >= want) {
+			t.Fatalf("%s: cube %d upper %v below the key maximum %v", tag, cube, got, want)
+		}
+	}
+}
+
+// requireAcross asserts that StrongestAcrossInto over parts equals the
+// whole map's brute scans bit for bit, that from names the part owning
+// each winner, and that every index involved keeps a sound U. It
+// returns how many points had a best value attained in two or more
+// parts (a cross-part tie).
+func requireAcross(t *testing.T, rng *simrand.Source, whole *Map, parts []*Map, global [][]int, tag string) int {
+	t.Helper()
+	requireUpperSound(t, whole, tag+" whole")
+	partOf := make([]int, len(whole.keys))
+	for pi, p := range parts {
+		requireUpperSound(t, p, fmt.Sprintf("%s part %d", tag, pi))
+		for _, gi := range global[pi] {
+			partOf[gi] = pi
+		}
+	}
+	pts := quickcheckPoints(rng, whole, 48)
+	n := len(pts)
+	ak, av, from := make([]string, n), make([]float64, n), make([]int, n)
+	if err := StrongestAcrossInto(parts, global, ak, av, from, pts); err != nil {
+		t.Fatal(err)
+	}
+	bk, bv := make([]string, n), make([]float64, n)
+	if err := whole.StrongestBatchBruteInto(bk, bv, pts); err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for i, p := range pts {
+		pk, pv := whole.StrongestBrute(p)
+		if ak[i] != bk[i] || math.Float64bits(av[i]) != math.Float64bits(bv[i]) ||
+			ak[i] != pk || math.Float64bits(av[i]) != math.Float64bits(pv) {
+			t.Fatalf("%s: point %v across (%q, %x), batch brute (%q, %x), brute (%q, %x)", tag, p,
+				ak[i], math.Float64bits(av[i]), bk[i], math.Float64bits(bv[i]), pk, math.Float64bits(pv))
+		}
+		if ak[i] == "" {
+			if from[i] != -1 {
+				t.Fatalf("%s: point %v has no winner but from = %d", tag, p, from[i])
+			}
+			continue
+		}
+		if from[i] < 0 || from[i] >= len(parts) || parts[from[i]].KeyIndex(ak[i]) < 0 {
+			t.Fatalf("%s: point %v winner %q credited to part %d", tag, p, ak[i], from[i])
+		}
+		attained := map[int]bool{}
+		for gi := range whole.keys {
+			if whole.at(gi, p) == av[i] {
+				attained[partOf[gi]] = true
+			}
+		}
+		if len(attained) > 1 {
+			ties++
+		}
+	}
+	return ties
+}
+
+// TestCoverIndexAcrossParts is rules 8 and 9 for the cross-part
+// best-server routine: gnarly maps split into 1, 2, 4 and 9 parts under
+// random key partitions (a one-key part, an all-NaN part and an
+// unindexed part among them; part-local key order shuffled) answer
+// exactly like the whole map's brute scans, ties across parts going to
+// the earliest global key — on fresh builds, after per-part RebuildKeys
+// mends, after ApplyDelta and after Merge, with U sound at every stage.
+func TestCoverIndexAcrossParts(t *testing.T) {
+	rng := simrand.New(2718)
+	ties := 0
+	for _, nParts := range []int{1, 2, 4, 9} {
+		for trial := 0; trial < 8; trial++ {
+			tag := fmt.Sprintf("parts=%d trial %d", nParts, trial)
+			nKeys := nParts + rng.Intn(8)
+			nx, ny, nz := 1+rng.Intn(6), 1+rng.Intn(5), 1+rng.Intn(4)
+			vol := geom.MustCuboid(geom.V(rng.Range(-3, 0), rng.Range(-3, 0), 0), rng.Range(1, 5), rng.Range(1, 5), rng.Range(1, 3))
+			keys := make([]string, nKeys)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key%02d", i)
+			}
+			f := &acrossField{salt: uint64(nParts*100 + trial), gen: make([]uint64, nKeys), nan: make([]bool, nKeys)}
+			// Every part gets one key of a random permutation, the rest
+			// land at random — never in part 0, which stays a one-key part.
+			perm := rng.Perm(nKeys)
+			global := make([][]int, nParts)
+			for pi := range global {
+				global[pi] = []int{perm[pi]}
+			}
+			for _, gi := range perm[nParts:] {
+				pi := 0
+				if nParts > 1 {
+					pi = 1 + rng.Intn(nParts-1)
+				}
+				global[pi] = append(global[pi], gi)
+			}
+			if nParts >= 3 {
+				for _, gi := range global[1] {
+					f.nan[gi] = true
+				}
+			}
+			unindexed := -1
+			if nParts >= 2 {
+				unindexed = nParts - 1
+			}
+			build := func(pi int) *Map {
+				pk := make([]string, len(global[pi]))
+				for k, gi := range global[pi] {
+					pk[k] = keys[gi]
+				}
+				p, err := BuildMapBatch(vol, nx, ny, nz, pk, f.local(global[pi]), BuildOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pi != unindexed {
+					p.BuildCoverIndex()
+				}
+				return p
+			}
+			whole, err := BuildMapBatch(vol, nx, ny, nz, keys, f.predict, BuildOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole.BuildCoverIndex()
+			parts := make([]*Map, nParts)
+			for pi := range parts {
+				parts[pi] = build(pi)
+			}
+			ties += requireAcross(t, rng, whole, parts, global, tag+" build")
+
+			// bump advances a random key subset one generation and returns
+			// the global dirty set plus each part's local dirty set.
+			bump := func() ([]int, [][]int) {
+				var dirty []int
+				local := make([][]int, nParts)
+				for pi, g := range global {
+					for k, gi := range g {
+						if rng.Intn(2) == 0 {
+							f.gen[gi]++
+							dirty = append(dirty, gi)
+							local[pi] = append(local[pi], k)
+						}
+					}
+				}
+				return dirty, local
+			}
+			rebuild := func(dirty []int, local [][]int) []*Map {
+				if whole, err = whole.RebuildKeys(dirty, f.predict, BuildOptions{Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+				next := make([]*Map, nParts)
+				for pi, p := range parts {
+					if next[pi], err = p.RebuildKeys(local[pi], f.local(global[pi]), BuildOptions{Workers: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return next
+			}
+			for gen := 1; gen <= 2; gen++ {
+				parts = rebuild(bump())
+				ties += requireAcross(t, rng, whole, parts, global, fmt.Sprintf("%s mend %d", tag, gen))
+			}
+
+			next := rebuild(bump())
+			for pi, p := range parts {
+				delta, err := AppendDelta(nil, p, next[pi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if parts[pi], err = ApplyDelta(p, delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ties += requireAcross(t, rng, whole, parts, global, tag+" delta")
+
+			// Merge the first half of the parts into one, its key order
+			// shuffled; the rest stay as they are.
+			half := (nParts + 1) / 2
+			var mg []int
+			for _, g := range global[:half] {
+				mg = append(mg, g...)
+			}
+			rng.Shuffle(len(mg), func(i, j int) { mg[i], mg[j] = mg[j], mg[i] })
+			order := make([]string, len(mg))
+			for k, gi := range mg {
+				order[k] = keys[gi]
+			}
+			merged, err := Merge(order, parts[:half])
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append([]*Map{merged}, parts[half:]...)
+			global = append([][]int{mg}, global[half:]...)
+			ties += requireAcross(t, rng, whole, parts, global, tag+" merge")
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no point tied across parts: the generator no longer exercises the tie rule")
+	}
+	t.Logf("%d cross-part ties checked", ties)
+}

@@ -26,20 +26,10 @@ func Merge(order []string, parts []*Map) (*Map, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("rem: merge needs at least one part")
 	}
-	ref := parts[0]
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("rem: merge part %d is nil", i)
-		}
-		if p.nx != ref.nx || p.ny != ref.ny || p.nz != ref.nz {
-			return nil, fmt.Errorf("rem: merge part %d resolution %dx%dx%d does not match %dx%dx%d",
-				i, p.nx, p.ny, p.nz, ref.nx, ref.ny, ref.nz)
-		}
-		if !sameVolume(p, ref) {
-			return nil, fmt.Errorf("rem: merge part %d volume %v–%v does not match %v–%v",
-				i, p.volume.Min, p.volume.Max, ref.volume.Min, ref.volume.Max)
-		}
+	if err := checkParts("merge", parts); err != nil {
+		return nil, err
 	}
+	ref := parts[0]
 	// Locate every key: (part, local index), rejecting duplicates across
 	// parts and keys missing from all of them.
 	type loc struct{ part, ki int }
@@ -92,6 +82,27 @@ func Merge(order []string, parts []*Map) (*Map, error) {
 		m.cover.Store(ci)
 	}
 	return m, nil
+}
+
+// checkParts rejects nil parts and parts whose geometry (grid resolution,
+// volume bit-for-bit) differs from parts[0]; op names the caller in the
+// error. parts must be non-empty.
+func checkParts(op string, parts []*Map) error {
+	ref := parts[0]
+	for i, p := range parts {
+		if p == nil {
+			return fmt.Errorf("rem: %s part %d is nil", op, i)
+		}
+		if p.nx != ref.nx || p.ny != ref.ny || p.nz != ref.nz {
+			return fmt.Errorf("rem: %s part %d resolution %dx%dx%d does not match %dx%dx%d",
+				op, i, p.nx, p.ny, p.nz, ref.nx, ref.ny, ref.nz)
+		}
+		if !sameVolume(p, ref) {
+			return fmt.Errorf("rem: %s part %d volume %v–%v does not match %v–%v",
+				op, i, p.volume.Min, p.volume.Max, ref.volume.Min, ref.volume.Max)
+		}
+	}
+	return nil
 }
 
 // sameVolume compares two maps' volumes bit-for-bit (the identity Equal

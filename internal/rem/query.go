@@ -3,6 +3,8 @@ package rem
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -108,5 +110,131 @@ func (m *Map) strongestBatchBruteInto(keys []string, vals []float64, pts []geom.
 				keys[i], vals[i] = key, v
 			}
 		}
+	}
+}
+
+// acrossScratch is StrongestAcrossInto's pooled working set: each part's
+// coverage index, loaded once per call. Pooling keeps the sharded
+// serving path allocation-free for any part count.
+type acrossScratch struct{ cis []*coverIndex }
+
+var acrossPool = sync.Pool{New: func() any { return new(acrossScratch) }}
+
+// StrongestAcrossInto answers Strongest for every point over maps that
+// partition one vocabulary — the sharded best-server path. parts must
+// share one geometry, and global[pi][k] is the vocabulary index of
+// parts[pi].Keys()[k]. keys[i] and vals[i] receive exactly what the
+// merged map's Strongest(pts[i]) returns (ties go to the lowest
+// vocabulary index), and from[i] the winning part's index, or -1 when no
+// key beats -Inf (keys[i] is then "" and vals[i] -Inf).
+//
+// Each point is located once. The indexed parts' bounds give the global
+// threshold T = max L - max A*coverMarginFrac; an indexed part whose U
+// is below T cannot win or tie anywhere in the cube and is skipped
+// outright, and the others scan only their cube candidates. Once a
+// winner v is known, v - max A*coverMarginFrac tightens T by the same
+// argument. Unindexed parts are scanned in full and never skipped. Results are bit-identical to the
+// brute scan of the merged map (rules 8 and 9), whatever the partition.
+func StrongestAcrossInto(parts []*Map, global [][]int, keys []string, vals []float64, from []int, pts []geom.Vec3) error {
+	if len(keys) != len(pts) || len(vals) != len(pts) || len(from) != len(pts) {
+		return fmt.Errorf("rem: batch destinations hold %d keys / %d values / %d winning parts for %d points", len(keys), len(vals), len(from), len(pts))
+	}
+	if len(parts) == 0 {
+		return fmt.Errorf("rem: strongest needs at least one part")
+	}
+	if len(global) != len(parts) {
+		return fmt.Errorf("rem: %d global index tables for %d parts", len(global), len(parts))
+	}
+	if err := checkParts("strongest", parts); err != nil {
+		return err
+	}
+	for pi, p := range parts {
+		if len(global[pi]) != len(p.keys) {
+			return fmt.Errorf("rem: strongest part %d holds %d keys, global table lists %d", pi, len(p.keys), len(global[pi]))
+		}
+	}
+	sc := acrossPool.Get().(*acrossScratch)
+	defer acrossPool.Put(sc)
+	cis := sc.cis[:0]
+	for _, p := range parts {
+		cis = append(cis, p.cover.Load())
+	}
+	sc.cis = cis
+	ref := parts[0]
+	for i, pt := range pts {
+		l := ref.locate(pt)
+		cube := l.ix0 + ref.nx*(l.iy0+ref.ny*l.iz0)
+		t, slot := cube>>tileShift, cube&tileMask
+		L, A := math.Inf(-1), 0.0
+		first := 0
+		for pi, ci := range cis {
+			if ci == nil {
+				continue
+			}
+			ct := ci.tiles[t]
+			if ct.lower[slot] > L {
+				L = ct.lower[slot]
+				first = pi
+			}
+			if ct.amp[slot] > A {
+				A = ct.amp[slot]
+			}
+		}
+		margin := A * coverMarginFrac
+		T := L - margin
+		w := winner{val: math.Inf(-1), gi: -1, part: -1}
+		// Start at the part holding the largest L: its winner usually
+		// lifts the skip threshold above T for the parts after it.
+		for n := range parts {
+			pi := first + n
+			if pi >= len(parts) {
+				pi -= len(parts)
+			}
+			if cut := w.val - margin; cut > T {
+				T = cut
+			}
+			m, g, ci := parts[pi], global[pi], cis[pi]
+			if ci == nil {
+				for ki := range m.keys {
+					w.offer(m.interpolate(ki, l), g[ki], pi, ki)
+				}
+				continue
+			}
+			ct := ci.tiles[t]
+			if ct.upper[slot] < T {
+				continue
+			}
+			off := slot * ci.words
+			for wd := 0; wd < ci.words; wd++ {
+				bw := ct.mask[off+wd]
+				for bw != 0 {
+					ki := wd<<6 + bits.TrailingZeros64(bw)
+					bw &= bw - 1
+					w.offer(m.interpolate(ki, l), g[ki], pi, ki)
+				}
+			}
+		}
+		keys[i], vals[i], from[i] = "", w.val, w.part
+		if w.part >= 0 {
+			keys[i] = parts[w.part].keys[w.ki]
+		}
+	}
+	clear(cis) // drop the index references while pooled
+	return nil
+}
+
+// winner is StrongestAcrossInto's running best: value, vocabulary index,
+// owning part and the part-local key index.
+type winner struct {
+	val          float64
+	gi, part, ki int
+}
+
+// offer admits a candidate under the brute scan's order: a strictly
+// higher value wins, an equal one only with a lower vocabulary index, so
+// NaN and -Inf never win and scan order across parts does not matter.
+func (w *winner) offer(v float64, gi, part, ki int) {
+	if v > w.val || (v == w.val && gi < w.gi) {
+		w.val, w.gi, w.part, w.ki = v, gi, part, ki
 	}
 }

@@ -26,7 +26,6 @@ package remshard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -395,49 +394,29 @@ func (s *ShardedStore) route(key string) (*shardState, error) {
 
 // Strongest answers a best-server query across every shard: each
 // serving shard's snapshot is loaded once (one atomic load per shard)
-// and its local winner merged under the global vocabulary order, so the
-// result is exactly what a monolithic store over the same data returns —
-// including ties, which resolve to the earliest key in global order.
-// The returned version is the winning shard's snapshot version.
+// and rem.StrongestAcrossInto picks the winner under the global
+// vocabulary order, so the result is exactly what a monolithic store
+// over the same data returns — including ties, which resolve to the
+// earliest key in global order. The returned version is the winning
+// shard's snapshot version.
 func (s *ShardedStore) Strongest(p geom.Vec3) (string, float64, uint64, error) {
-	bestKey, bestVal, bestGi, bestVer := "", math.Inf(-1), -1, uint64(0)
-	var bestShard, firstServing *shardState
-	for _, sh := range s.shards {
-		if len(sh.keys) == 0 {
-			continue
-		}
-		snap := sh.store.Current()
-		if snap == nil {
-			continue
-		}
-		if firstServing == nil {
-			firstServing = sh
-		}
-		k, v := snap.Map().Strongest(p)
-		if k == "" {
-			continue // every value NaN in this shard — monolithic skips them too
-		}
-		gi := s.keyIdx[k]
-		if v > bestVal || (v == bestVal && gi < bestGi) {
-			bestKey, bestVal, bestGi, bestVer, bestShard = k, v, gi, snap.Version(), sh
-		}
+	sc := strongestScratchPool.Get().(*strongestScratch)
+	defer sc.release()
+	sc.pt[0] = p
+	if err := s.strongest(sc, sc.key[:], sc.val[:], sc.pt[:]); err != nil {
+		return "", 0, 0, err
 	}
-	if firstServing == nil {
-		return "", 0, 0, remstore.ErrEmpty
+	var ver uint64
+	if j := sc.from[0]; j >= 0 {
+		ver = sc.vers[j]
 	}
-	if bestShard != nil {
-		bestShard.logical.Add(1)
-	} else {
-		firstServing.logical.Add(1)
-	}
-	return bestKey, bestVal, bestVer, nil
+	return sc.key[0], sc.val[0], ver, nil
 }
 
 // StrongestBatch answers a best-server query for every point: each
-// serving shard's snapshot is loaded once for the whole batch, then the
-// per-point winners merge under the global vocabulary order — element i
-// matches Strongest(pts[i]) exactly. Serving versions are per-shard; use
-// Strongest for a versioned answer.
+// serving shard's snapshot is loaded once for the whole batch, and
+// element i matches Strongest(pts[i]) exactly. Serving versions are
+// per-shard; use Strongest for a versioned answer.
 func (s *ShardedStore) StrongestBatch(pts []geom.Vec3) ([]string, []float64, error) {
 	keys := make([]string, len(pts))
 	vals := make([]float64, len(pts))
@@ -445,34 +424,6 @@ func (s *ShardedStore) StrongestBatch(pts []geom.Vec3) ([]string, []float64, err
 		return nil, nil, err
 	}
 	return keys, vals, nil
-}
-
-// strongestScratch is the pooled working set of StrongestBatchInto: the
-// per-shard winner buffers, the global tie-break indices, each point's
-// winning shard and the per-shard logical-query tallies. Pooling keeps
-// the serving path allocation-free at steady state.
-type strongestScratch struct {
-	ks     []string
-	vs     []float64
-	gis    []int
-	win    []int
-	counts []uint64
-}
-
-var strongestScratchPool = sync.Pool{New: func() any { return new(strongestScratch) }}
-
-func (sc *strongestScratch) grow(pts, shards int) {
-	if cap(sc.ks) < pts {
-		sc.ks = make([]string, pts)
-		sc.vs = make([]float64, pts)
-		sc.gis = make([]int, pts)
-		sc.win = make([]int, pts)
-	}
-	sc.ks, sc.vs, sc.gis, sc.win = sc.ks[:pts], sc.vs[:pts], sc.gis[:pts], sc.win[:pts]
-	if cap(sc.counts) < shards {
-		sc.counts = make([]uint64, shards)
-	}
-	sc.counts = sc.counts[:shards]
 }
 
 // StrongestBatchInto is StrongestBatch into caller-owned buffers — the
@@ -483,15 +434,44 @@ func (s *ShardedStore) StrongestBatchInto(keys []string, vals []float64, pts []g
 		return fmt.Errorf("remshard: batch destinations hold %d keys / %d values for %d points", len(keys), len(vals), len(pts))
 	}
 	sc := strongestScratchPool.Get().(*strongestScratch)
-	defer strongestScratchPool.Put(sc)
-	sc.grow(len(pts), len(s.shards))
-	for i := range vals {
-		keys[i] = ""
-		vals[i] = math.Inf(-1)
-		sc.gis[i] = -1
-		sc.win[i] = -1
-	}
-	firstServing := -1
+	defer sc.release()
+	return s.strongest(sc, keys, vals, pts)
+}
+
+// strongestScratch is the pooled working set of the best-server path:
+// the serving shards' maps with their global-index tables, shard
+// indices and versions, each point's winning part and the per-shard
+// logical-query tallies, plus one-point buffers for Strongest. Pooling
+// keeps the serving path allocation-free at steady state.
+type strongestScratch struct {
+	parts  []*rem.Map
+	global [][]int
+	shard  []int
+	vers   []uint64
+	from   []int
+	counts []uint64
+	pt     [1]geom.Vec3
+	key    [1]string
+	val    [1]float64
+}
+
+var strongestScratchPool = sync.Pool{New: func() any { return new(strongestScratch) }}
+
+// release drops the snapshot references and returns sc to the pool.
+func (sc *strongestScratch) release() {
+	clear(sc.parts)
+	sc.key[0] = ""
+	strongestScratchPool.Put(sc)
+}
+
+// strongest answers the best-server query over the serving shards into
+// keys/vals (sc.from records each point's winning part) and counts one
+// logical query per point on the winning shard — or on the first
+// serving shard when no key wins, as a monolithic store counts every
+// query. Shards with no keys or no published snapshot are left out;
+// ErrEmpty when none serves.
+func (s *ShardedStore) strongest(sc *strongestScratch, keys []string, vals []float64, pts []geom.Vec3) error {
+	sc.parts, sc.global, sc.shard, sc.vers = sc.parts[:0], sc.global[:0], sc.shard[:0], sc.vers[:0]
 	for si, sh := range s.shards {
 		if len(sh.keys) == 0 {
 			continue
@@ -500,38 +480,35 @@ func (s *ShardedStore) StrongestBatchInto(keys []string, vals []float64, pts []g
 		if snap == nil {
 			continue
 		}
-		if firstServing < 0 {
-			firstServing = si
-		}
-		if err := snap.Map().StrongestBatchInto(sc.ks, sc.vs, pts); err != nil {
-			return err
-		}
-		for i := range pts {
-			if sc.ks[i] == "" {
-				continue // every value NaN in this shard — monolithic skips them too
-			}
-			gi := s.keyIdx[sc.ks[i]]
-			if sc.vs[i] > vals[i] || (sc.vs[i] == vals[i] && gi < sc.gis[i]) {
-				keys[i], vals[i], sc.gis[i], sc.win[i] = sc.ks[i], sc.vs[i], gi, si
-			}
-		}
+		sc.parts = append(sc.parts, snap.Map())
+		sc.global = append(sc.global, sh.global)
+		sc.shard = append(sc.shard, si)
+		sc.vers = append(sc.vers, snap.Version())
 	}
-	if firstServing < 0 {
+	if len(sc.parts) == 0 {
 		return remstore.ErrEmpty
 	}
-	for i := range sc.counts {
-		sc.counts[i] = 0
+	if cap(sc.from) < len(pts) {
+		sc.from = make([]int, len(pts))
 	}
-	for i := range pts {
-		if sc.win[i] >= 0 {
-			sc.counts[sc.win[i]]++
-		} else {
-			sc.counts[firstServing]++
+	sc.from = sc.from[:len(pts)]
+	if err := rem.StrongestAcrossInto(sc.parts, sc.global, keys, vals, sc.from, pts); err != nil {
+		return err
+	}
+	if cap(sc.counts) < len(sc.parts) {
+		sc.counts = make([]uint64, len(sc.parts))
+	}
+	sc.counts = sc.counts[:len(sc.parts)]
+	clear(sc.counts)
+	for _, j := range sc.from {
+		if j < 0 {
+			j = 0
 		}
+		sc.counts[j]++
 	}
-	for si, n := range sc.counts {
+	for j, n := range sc.counts {
 		if n > 0 {
-			s.shards[si].logical.Add(n)
+			s.shards[sc.shard[j]].logical.Add(n)
 		}
 	}
 	return nil

@@ -223,11 +223,71 @@ func (h *harness) checkEquivalence(probes []geom.Vec3) {
 	}
 }
 
+// checkPartial pins rule 8 for a store mid-first-round: best-server
+// answers cover exactly the serving shards' keys, as the brute scan of
+// their merged maps gives them, with the winning shard's version and one
+// logical query per point. It returns how many key-owning shards have
+// not published yet.
+func (h *harness) checkPartial(probes []geom.Vec3) int {
+	h.t.Helper()
+	s := h.sharded
+	var parts []*rem.Map
+	var order []string
+	owner := map[string]int{}
+	pending := 0
+	for si := 0; si < s.NumShards(); si++ {
+		if s.ShardLen(si) == 0 {
+			continue
+		}
+		snap := s.StoreOf(si).Current()
+		if snap == nil {
+			pending++
+			continue
+		}
+		parts = append(parts, snap.Map())
+		for _, k := range s.ShardKeys(si) {
+			owner[k] = si
+		}
+	}
+	for _, k := range h.keys {
+		if _, ok := owner[k]; ok {
+			order = append(order, k)
+		}
+	}
+	serving, err := rem.Merge(order, parts)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	before := s.Stats().Queries
+	gk, gv, err := s.StrongestBatch(probes)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	for i, p := range probes {
+		wk, wv := serving.StrongestBrute(p)
+		k, v, ver, err := s.Strongest(p)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if k != wk || math.Float64bits(v) != math.Float64bits(wv) || gk[i] != wk || math.Float64bits(gv[i]) != math.Float64bits(wv) {
+			h.t.Fatalf("partial store at %v: Strongest (%s, %v), batch (%s, %v), serving brute (%s, %v)", p, k, v, gk[i], gv[i], wk, wv)
+		}
+		if want := s.StoreOf(owner[k]).Current().Version(); ver != want {
+			h.t.Fatalf("partial store at %v: version %d, winning shard serves %d", p, ver, want)
+		}
+	}
+	if got := s.Stats().Queries - before; got != uint64(2*len(probes)) {
+		h.t.Fatalf("partial store counted %d logical queries for %d", got, 2*len(probes))
+	}
+	return pending
+}
+
 // TestShardedEquivalence is rule 8 at the remshard layer: over a round
 // sequence with localized, overlapping and DirtyAll dirty sets, every
 // query answers byte-identically to the monolithic chain — for each
 // partitioner and shard count, including shard counts above the key
-// count and deliberately empty shards.
+// count, a partitioner that leaves shard 0 keyless, and a store whose
+// other shards have not published yet.
 func TestShardedEquivalence(t *testing.T) {
 	const nKeys = 7
 	probes := testProbes(23)
@@ -239,8 +299,24 @@ func TestShardedEquivalence(t *testing.T) {
 		{6, 0, 6, 0}, // duplicates collapse
 	}
 	for _, shards := range []int{1, 2, 4, 9} {
-		for name, p := range testPartitioners(testKeys(nKeys), shards) {
+		partitioners := testPartitioners(testKeys(nKeys), shards)
+		if shards > 1 {
+			partitioners["keyless0"] = PartitionFunc(func(key string, n int) int {
+				var i int
+				fmt.Sscanf(key, "aa:bb:%02d", &i)
+				return 1 + i%(n-1)
+			})
+		}
+		for name, p := range partitioners {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				// Mid-first-round: only key 0's shard has published.
+				partial := newHarness(t, nKeys, p, shards)
+				if _, err := partial.sharded.Rebuild([]int{0}, partial.model.predict, rem.BuildOptions{Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+				if pending := partial.checkPartial(probes); name == "explicit" && shards > 1 && pending == 0 {
+					t.Fatal("explicit partition left no shard pending")
+				}
 				h := newHarness(t, nKeys, p, shards)
 				for _, dirty := range rounds {
 					round := h.round(dirty)
@@ -495,5 +571,35 @@ func TestMergedSnapshotAt(t *testing.T) {
 	}
 	if got, ok := h.sharded.MergedSnapshotAt(versions); !ok || !got.Equal(latest) {
 		t.Fatal("current generation not resolvable through its own vector")
+	}
+}
+
+// TestShardedStrongestAllocs: the best-server serving path allocates
+// nothing at steady state — batch and point queries alike.
+func TestShardedStrongestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	h := newHarness(t, 9, HashByKey{}, 4)
+	h.round([]int{ml.DirtyAll})
+	probes := testProbes(64)
+	keys, vals := make([]string, len(probes)), make([]float64, len(probes))
+	batch := func() {
+		if err := h.sharded.StrongestBatchInto(keys, vals, probes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	point := func() {
+		if _, _, _, err := h.sharded.Strongest(probes[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	point()
+	if n := testing.AllocsPerRun(100, batch); n != 0 {
+		t.Fatalf("StrongestBatchInto allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(100, point); n != 0 {
+		t.Fatalf("Strongest allocates %v per call", n)
 	}
 }
