@@ -14,8 +14,10 @@
 // query /at, /strongest, /version and download /snapshot while windows
 // keep publishing underneath, and after the stream completes remgen
 // keeps serving the final generation until interrupted. SIGINT/SIGTERM
-// shut down gracefully: the stream stops between windows and the server
-// drains in-flight queries.
+// shut down gracefully: the stream stops between windows, the server
+// drains in-flight queries, and then the summary and exports are
+// written. Every server mode is an internal/remnode node, which owns the
+// bind-first start and the shutdown order.
 //
 // Usage:
 //
@@ -97,11 +99,11 @@ import (
 	"repro/internal/geom"
 	"repro/internal/rem"
 	"repro/internal/remfollow"
+	"repro/internal/remnode"
 	"repro/internal/remobs"
 	"repro/internal/remserve"
 	"repro/internal/remshard"
 	"repro/internal/remstore"
-	"repro/internal/remwal"
 )
 
 func main() {
@@ -175,6 +177,11 @@ func run() error {
 		cfg.Estimators = core.ExtendedEstimators(*seed)
 	}
 
+	opts := modeOpts{
+		window: *window, history: *history, shards: *shards, queue: *ingestCap,
+		serve: *serve, wal: *walDir, token: *ingestTok, rate: *rate, obs: obs,
+		out: *out, snapOut: *snapOut, dark: *dark, slice: *slice,
+	}
 	var stored *dataset.Dataset
 	if *dataCSV != "" {
 		f, err := os.Open(*dataCSV)
@@ -204,12 +211,7 @@ func run() error {
 		if *extended {
 			return errors.New("-extended has no effect with -ingest: ingestion serves a single estimator")
 		}
-		return runIngest(cfg, stored, ingestOpts{
-			history: *history, out: *out, snapOut: *snapOut,
-			serve: *serve, rate: *rate, dark: *dark, slice: *slice,
-			wal: *walDir, token: *ingestTok, queue: *ingestCap,
-			obs: obs,
-		})
+		return runIngest(cfg, stored, opts)
 	}
 	if *walDir != "" || *ingestTok != "" || *ingestCap != 0 {
 		return errors.New("-wal, -ingest-token and -ingest-queue configure the ingestion server; add -ingest")
@@ -218,11 +220,7 @@ func run() error {
 		if *extended {
 			return fmt.Errorf("-extended has no effect with -stream: streaming serves a single estimator, not the Figure 8 suite")
 		}
-		return runStream(cfg, stored, streamOpts{
-			window: *window, history: *history, shards: *shards,
-			out: *out, snapOut: *snapOut, serve: *serve, rate: *rate,
-			dark: *dark, slice: *slice, obs: obs,
-		})
+		return runStream(cfg, stored, opts)
 	}
 	if *window != 0 || *history != 0 || *shards != 0 || *serve != "" {
 		return fmt.Errorf("-window, -history, -shards and -serve configure the streaming pipeline; add -stream")
@@ -252,14 +250,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "  %-30s RMSE %.4f dB  MAE %.4f dB%s\n", s.Name, s.RMSE, s.MAE, marker)
 	}
 
-	m := result.REM
-	if err := reportMap(m, *dark, *slice); err != nil {
-		return err
-	}
-	if err := writeSnapshotOut(m, *snapOut); err != nil {
-		return err
-	}
-	return writeCSVOut(m, *out)
+	return opts.export(result.REM)
 }
 
 // setupObservability builds the optional side-kit shared by every
@@ -434,60 +425,47 @@ func runQuery(base, mode, key, pointsSpec, wire string) error {
 }
 
 // runFollow is the -follow replica: a remfollow.Follower polling the
-// leader for tile deltas and serving the replicated store on addr. The
-// sync loop and the HTTP front run until SIGINT/SIGTERM; the loop is
-// deliberately unkillable by leader failures — it backs off, resyncs,
-// and keeps serving the last good generation throughout.
+// leader for tile deltas and serving the replicated store on addr until
+// SIGINT/SIGTERM. The sync loop is deliberately unkillable by leader
+// failures — it backs off, resyncs, and keeps serving the last good
+// generation throughout.
 func runFollow(leader, addr string, poll, staleness time.Duration, history int, obs *remobs.Observer) error {
 	if addr == "" {
 		return errors.New("-follow needs -serve ADDR to expose the replica")
 	}
-	f, err := remfollow.New(remfollow.Config{
-		Leader:       leader,
-		Poll:         poll,
-		MaxStaleness: staleness,
-		History:      history,
-		Observer:     obs,
+	node, err := runNode(remnode.Config{
+		Addr: addr,
+		Follow: &remfollow.Config{
+			Leader:       leader,
+			Poll:         poll,
+			MaxStaleness: staleness,
+			History:      history,
+		},
+		Observer: obs,
+	}, func(node *remnode.Node) {
+		fmt.Fprintf(os.Stderr, "following %s; serving replica on http://%s\n", leader, node.Addr())
 	})
-	if err != nil {
+	if node == nil {
 		return err
 	}
+	s := node.Follower().SyncStats()
+	fmt.Fprintf(os.Stderr, "replica: version %s, %d syncs (%d deltas, %d fulls, %d unchanged), %d failures, %d resyncs\n",
+		s.Version, s.Syncs, s.Deltas, s.Fulls, s.NotModified, s.Failures, s.Resyncs)
+	return err
+}
 
+// runNode starts a node, lets started announce it, and runs it until
+// SIGINT/SIGTERM or until one of its parts fails; the node has shut
+// down in order when runNode returns. A nil node means it never started.
+func runNode(cfg remnode.Config, started func(*remnode.Node)) (*remnode.Node, error) {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-
-	l, err := net.Listen("tcp", addr)
+	node, err := remnode.Start(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "following %s; serving replica on http://%s\n", leader, l.Addr())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- f.Serve(l) }()
-
-	runDone := make(chan struct{})
-	go func() { f.Run(ctx); close(runDone) }()
-
-	select {
-	case err := <-serveErr:
-		cancel()
-		<-runDone
-		if err != nil {
-			return err
-		}
-		return errors.New("remgen: replica HTTP server stopped unexpectedly")
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "remgen: interrupted; draining replica queries")
-		<-runDone
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		if err := f.Shutdown(sctx); err != nil {
-			return err
-		}
-		s := f.SyncStats()
-		fmt.Fprintf(os.Stderr, "replica: version %s, %d syncs (%d deltas, %d fulls, %d unchanged), %d failures, %d resyncs\n",
-			s.Version, s.Syncs, s.Deltas, s.Fulls, s.NotModified, s.Failures, s.Resyncs)
-		return <-serveErr
-	}
+	started(node)
+	return node, node.Run(ctx)
 }
 
 // parsePoints parses the -points spec: semicolon-separated triples of
@@ -519,18 +497,30 @@ func parsePoints(spec string) ([][3]float64, error) {
 	return pts, nil
 }
 
-// reportMap writes the REM summary, coverage figures and the optional
-// slice heatmap to stderr — shared by the batch and streaming paths so
-// their reporting cannot drift apart.
-func reportMap(m *rem.Map, dark, slice float64) error {
+// modeOpts gathers the flags of the streaming and ingestion modes and
+// of the export step every mode ends with.
+type modeOpts struct {
+	window, history, shards, queue int
+	serve, wal, token              string
+	rate                           float64
+	obs                            *remobs.Observer
+	out, snapOut                   string
+	dark, slice                    float64
+}
+
+// export writes the REM summary, coverage figures and the optional
+// slice heatmap to stderr, then the -snapshot and -o exports — the one
+// ending of the batch, streaming and ingestion modes, so their
+// reporting cannot drift apart.
+func (o modeOpts) export(m *rem.Map) error {
 	centre := geom.PaperScanVolume().Center()
 	bestKey, bestRSS := m.Strongest(centre)
 	fmt.Fprintf(os.Stderr, "REM: %d sources over %v; strongest at centre: %s (%.1f dBm)\n",
 		len(m.Keys()), m.Volume().Size(), bestKey, bestRSS)
 	fmt.Fprintf(os.Stderr, "coverage ≥ %.0f dBm over %.1f%% of the volume (%d dark cells)\n",
-		dark, 100*m.CoverageFraction(dark), len(m.DarkRegions(dark)))
-	if slice >= 0 {
-		s, err := m.SliceAt(bestKey, slice, 60, 24)
+		o.dark, 100*m.CoverageFraction(o.dark), len(m.DarkRegions(o.dark)))
+	if o.slice >= 0 {
+		s, err := m.SliceAt(bestKey, o.slice, 60, 24)
 		if err != nil {
 			return err
 		}
@@ -538,32 +528,26 @@ func reportMap(m *rem.Map, dark, slice float64) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// streamOpts gathers the streaming-mode flags.
-type streamOpts struct {
-	window, history, shards int
-	out, snapOut, serve     string
-	rate                    float64
-	dark, slice             float64
-	obs                     *remobs.Observer
+	if err := writeSnapshotOut(m, o.snapOut); err != nil {
+		return err
+	}
+	return writeCSVOut(m, o.out)
 }
 
 // runStream drives the windowed incremental pipeline — monolithic, or
 // sharded with -shards — and exports the final snapshot (for a sharded
 // store, the merged monolithic view, byte-identical to what the
-// monolithic stream would serve). With -serve the store is fronted by
-// the remserve HTTP subsystem from the first window on; the final
-// generation keeps serving after the stream until SIGINT/SIGTERM, which
-// also cancels a still-running stream between windows.
-func runStream(base core.Config, stored *dataset.Dataset, opts streamOpts) error {
+// monolithic stream would serve). With -serve the stream runs inside a
+// remnode leader: its HTTP front serves every window from the first on
+// and keeps serving the final generation until SIGINT/SIGTERM, which
+// also stops a still-running stream between windows; the summary and
+// the exports follow the shutdown.
+func runStream(base core.Config, stored *dataset.Dataset, opts modeOpts) error {
 	shards := opts.shards
 	cfg := core.StreamConfig{
 		Config:     base,
 		WindowRows: opts.window,
 		MaxHistory: opts.history,
-		Observer:   opts.obs,
 	}
 	if shards > 0 {
 		cfg.Shards = shards
@@ -579,152 +563,53 @@ func runStream(base core.Config, stored *dataset.Dataset, opts streamOpts) error
 		}
 	}
 
-	var srv *remserve.Server
-	serveErr := make(chan error, 1)
-	if opts.serve != "" {
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer cancel()
-		cfg.Context = ctx
-		cfg.OnStore = func(st *remstore.Store, ss *remshard.ShardedStore) {
-			sopts := remserve.Options{RateLimit: remserve.RateLimit{RPS: opts.rate}, Observer: opts.obs}
-			if ss != nil {
-				srv = remserve.NewSharded(ss, sopts)
-			} else {
-				srv = remserve.NewStore(st, sopts)
-			}
-			l, err := net.Listen("tcp", opts.serve)
-			if err != nil {
-				serveErr <- err
-				cancel() // no edge to serve through; stop the stream too
-				return
-			}
-			fmt.Fprintf(os.Stderr, "serving REM queries on http://%s\n", l.Addr())
-			go func() { serveErr <- srv.Serve(l) }()
-		}
-	}
-
 	var res *core.StreamResult
 	var err error
-	if stored != nil {
+	switch {
+	case opts.serve != "":
+		node, nerr := runNode(remnode.Config{
+			Addr:     opts.serve,
+			Stream:   &cfg,
+			Dataset:  stored,
+			Serve:    remserve.Options{RateLimit: remserve.RateLimit{RPS: opts.rate}},
+			Observer: opts.obs,
+		}, func(node *remnode.Node) {
+			fmt.Fprintf(os.Stderr, "serving REM queries on http://%s until interrupted (Ctrl-C)\n", node.Addr())
+		})
+		if nerr != nil {
+			return nerr
+		}
+		res, err = node.Stream()
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintf(os.Stderr, "remgen: %v\n", err)
+			return nil
+		}
+	case stored != nil:
+		cfg.Observer = opts.obs
 		res, err = core.RunStreamWithDataset(cfg, stored, nil)
-	} else {
+	default:
+		cfg.Observer = opts.obs
 		res, err = core.RunStream(cfg)
 	}
-	cancelled := err != nil && errors.Is(err, context.Canceled)
-	if err != nil && !cancelled {
-		shutdownServer(srv)
-		select {
-		case serr := <-serveErr:
-			if serr != nil {
-				return fmt.Errorf("%w (HTTP front: %v)", err, serr)
-			}
-		default:
-		}
+	if err != nil {
 		return err
 	}
-	if cancelled {
-		// A bind failure cancels the stream through the same context a
-		// signal does — surface it instead of reporting a clean stop.
-		select {
-		case serr := <-serveErr:
-			if serr != nil {
-				return fmt.Errorf("starting HTTP front: %w", serr)
-			}
-		default:
-		}
-		fmt.Fprintf(os.Stderr, "remgen: %v\n", err)
-		return shutdownServer(srv)
-	}
-	if err := reportStream(res, shards, opts); err != nil {
-		shutdownServer(srv)
-		return err
-	}
-	if srv != nil {
-		fmt.Fprintln(os.Stderr, "stream complete; serving until interrupted (Ctrl-C)")
-		select {
-		case serr := <-serveErr:
-			// The listener died (or never bound) — surface that.
-			shutdownServer(srv)
-			if serr != nil {
-				return serr
-			}
-			return errors.New("remgen: HTTP server stopped unexpectedly")
-		case <-cfg.Context.Done():
-			fmt.Fprintln(os.Stderr, "remgen: interrupted; draining queries")
-			return shutdownServer(srv)
-		}
-	}
-	return nil
+	return reportStream(res, opts)
 }
 
-// ingestOpts gathers the ingestion-mode flags.
-type ingestOpts struct {
-	history      int
-	out, snapOut string
-	serve        string
-	rate         float64
-	dark, slice  float64
-	wal, token   string
-	queue        int
-	obs          *remobs.Observer
-}
-
-// runIngest drives the live ingestion server: open (and replay) the
-// WAL, bootstrap the estimator on the survey, front the store with
-// remserve — POST /observe enabled — and publish one snapshot per
-// accepted batch until SIGINT/SIGTERM. Shutdown is ordered for
-// durability: the HTTP edge drains first (no more acks), then the WAL
-// segment is fsynced and closed, so every acknowledged batch is intact
-// on disk when the process exits and the next -wal run replays it.
-func runIngest(base core.Config, stored *dataset.Dataset, opts ingestOpts) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	var wal *remwal.Log
-	queueCfg := remwal.QueueConfig{Capacity: opts.queue}
-	var replay []remwal.Batch
-	if opts.wal != "" {
-		l, recs, err := remwal.Open(remwal.Config{Dir: opts.wal, Observer: opts.obs})
-		if err != nil {
-			return err
-		}
-		wal = l
-		queueCfg.Log = l
-		batches, good := remwal.Batches(recs)
-		if good != len(recs) {
-			return fmt.Errorf("wal %s: record %d does not decode as an observation batch (wrong directory?)", opts.wal, recs[good].Seq)
-		}
-		replay = batches
-		fmt.Fprintf(os.Stderr, "wal %s: replaying %d batch(es)\n", opts.wal, len(replay))
-	}
-	q := remwal.NewQueue(queueCfg)
-	q.SetObserver(opts.obs)
-
-	var srv *remserve.Server
-	serveErr := make(chan error, 1)
+// runIngest runs the live ingestion server — a remnode ingester: the
+// WAL is opened and replayed, the estimator bootstraps on the survey,
+// and POST /observe batches publish one snapshot each until
+// SIGINT/SIGTERM. The node's shutdown order (HTTP drained, queue closed,
+// loop stopped, WAL fsynced and closed) leaves every acknowledged batch
+// intact on disk for the next -wal run to replay.
+func runIngest(base core.Config, stored *dataset.Dataset, opts modeOpts) error {
+	published := 0
 	cfg := core.IngestConfig{
 		Config:     base,
 		MaxHistory: opts.history,
-		Queue:      q,
-		Replay:     replay,
-		Context:    ctx,
-		Observer:   opts.obs,
-		OnStore: func(st *remstore.Store) {
-			srv = remserve.NewStore(st, remserve.Options{
-				RateLimit: remserve.RateLimit{RPS: opts.rate},
-				Ingest:    remserve.IngestOptions{Queue: q, Token: opts.token},
-				Observer:  opts.obs,
-			})
-			l, err := net.Listen("tcp", opts.serve)
-			if err != nil {
-				serveErr <- err
-				cancel() // no edge to ingest through; stop the loop too
-				return
-			}
-			fmt.Fprintf(os.Stderr, "serving REM queries and POST /observe on http://%s\n", l.Addr())
-			go func() { serveErr <- srv.Serve(l) }()
-		},
 		OnBatch: func(rep core.IngestReport) {
+			published++
 			src := "live"
 			if rep.Replayed {
 				src = "replay"
@@ -733,83 +618,45 @@ func runIngest(base core.Config, stored *dataset.Dataset, opts ingestOpts) error
 				rep.Seq, src, rep.Rows, rep.Version, rep.DirtyKeys, rep.SharedTiles)
 		},
 	}
-
-	var res *core.IngestResult
-	var err error
-	if stored != nil {
-		res, err = core.RunIngestWithDataset(cfg, stored, nil)
-	} else {
-		res, err = core.RunIngest(cfg)
-	}
-	cancelled := err != nil && errors.Is(err, context.Canceled)
-	closeWAL := func(prev error) error {
-		if wal == nil {
-			return prev
+	node, err := runNode(remnode.Config{
+		Addr:    opts.serve,
+		Ingest:  &cfg,
+		Dataset: stored,
+		Serve: remserve.Options{
+			RateLimit: remserve.RateLimit{RPS: opts.rate},
+			Ingest:    remserve.IngestOptions{Token: opts.token},
+		},
+		WALDir:        opts.wal,
+		QueueCapacity: opts.queue,
+		Observer:      opts.obs,
+	}, func(node *remnode.Node) {
+		if opts.wal != "" {
+			fmt.Fprintf(os.Stderr, "wal %s: replaying %d batch(es)\n", opts.wal, node.Replayed())
 		}
-		last := wal.NextSeq() - 1
-		if cerr := wal.Close(); cerr != nil {
-			if prev == nil {
-				return fmt.Errorf("closing wal: %w", cerr)
-			}
-			return prev
-		}
-		fmt.Fprintf(os.Stderr, "wal %s: closed cleanly at seq %d\n", opts.wal, last)
-		return prev
+		fmt.Fprintf(os.Stderr, "serving REM queries and POST /observe on http://%s\n", node.Addr())
+	})
+	if node == nil {
+		return err
 	}
-	if err != nil && !cancelled {
-		_ = shutdownServer(srv) // the run error dominates
-		return closeWAL(err)
+	if seq, ok := node.ClosedAt(); ok {
+		fmt.Fprintf(os.Stderr, "wal %s: closed cleanly at seq %d\n", opts.wal, seq)
 	}
-	if cancelled {
-		// A bind failure cancels the loop through the same context a
-		// signal does — surface it instead of reporting a clean stop.
-		select {
-		case serr := <-serveErr:
-			if serr != nil {
-				return closeWAL(fmt.Errorf("starting HTTP front: %w", serr))
-			}
-		default:
-		}
-		fmt.Fprintf(os.Stderr, "remgen: %v; draining queries\n", err)
+	st := node.Store()
+	if err != nil || st == nil || st.Current() == nil {
+		return err
 	}
-	serr := shutdownServer(srv)
-	serr = closeWAL(serr)
-	if res == nil || res.Store == nil || res.Store.Current() == nil {
-		return serr
-	}
-	stats := res.Store.Stats()
+	stats := st.Stats()
 	fmt.Fprintf(os.Stderr, "ingest: %d batch(es) published over %d snapshots (%d retained); serving v%d\n",
-		len(res.Batches), stats.Publishes, stats.HistoryLen, stats.CurrentVersion)
-	m := res.Store.Current().Map()
-	if rerr := reportMap(m, opts.dark, opts.slice); rerr != nil {
-		return rerr
-	}
-	if rerr := writeSnapshotOut(m, opts.snapOut); rerr != nil {
-		return rerr
-	}
-	if rerr := writeCSVOut(m, opts.out); rerr != nil {
-		return rerr
-	}
-	return serr
+		published, stats.Publishes, stats.HistoryLen, stats.CurrentVersion)
+	return opts.export(st.Current().Map())
 }
 
-// shutdownServer drains the HTTP front, bounded so a stuck client
-// cannot wedge shutdown. A nil server is a no-op.
-func shutdownServer(srv *remserve.Server) error {
-	if srv == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
-}
-
-// reportStream prints the stream summary and writes the CSV and
-// snapshot exports of the final generation.
-func reportStream(res *core.StreamResult, shards int, opts streamOpts) error {
+// reportStream prints the stream summary and exports the final
+// generation.
+func reportStream(res *core.StreamResult, opts modeOpts) error {
 	var m *rem.Map
 	var err error
-	if shards > 0 {
+	if opts.shards > 0 {
 		stats := res.Sharded.Stats()
 		fmt.Fprintf(os.Stderr, "stream: %d rounds over %d shards, %d shard publishes\n",
 			stats.Rounds, stats.Shards, stats.ShardPublishes)
@@ -826,13 +673,7 @@ func reportStream(res *core.StreamResult, shards int, opts streamOpts) error {
 			stats.Publishes, stats.HistoryLen, stats.CurrentVersion)
 		m = res.Store.Current().Map()
 	}
-	if err := reportMap(m, opts.dark, opts.slice); err != nil {
-		return err
-	}
-	if err := writeSnapshotOut(m, opts.snapOut); err != nil {
-		return err
-	}
-	return writeCSVOut(m, opts.out)
+	return opts.export(m)
 }
 
 // writeSnapshotOut exports the map in the binary snapshot codec

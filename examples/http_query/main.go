@@ -3,7 +3,7 @@
 // talking only JSON and bytes, linking none of the library — queries it
 // concurrently. The walkthrough shows:
 //
-//  1. serve-while-streaming: core.RunStream's OnStore hook boots the
+//  1. serve-while-streaming: a remnode streaming leader boots the
 //     remserve front before the first window publishes, so clients see
 //     every generation from v1 on (503 only before the first publish);
 //  2. point, batch and best-server queries over HTTP, each response
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -34,9 +33,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/rem"
+	"repro/internal/remnode"
 	"repro/internal/remserve"
 	"repro/internal/remshard"
-	"repro/internal/remstore"
 )
 
 func main() {
@@ -61,65 +60,44 @@ type batchResp struct {
 func run() error {
 	probe := geom.PaperScanVolume().Center()
 
-	// 1. Stream the mission into a 2-shard store, booting the HTTP
-	// front from the OnStore hook — before the first publish, so the
-	// client below races real serving-store startup.
+	// 1. Stream the mission into a 2-shard store inside a remnode
+	// leader: the node binds first and boots the HTTP front before the
+	// first publish, so the client below races real serving-store
+	// startup.
 	cfg := core.DefaultStreamConfig(1)
 	cfg.Shards = 2
 	cfg.WindowRows = 520
-	var srv *remserve.Server
-	addrCh := make(chan string, 1)
-	keysCh := make(chan []string, 1)
-	cfg.OnStore = func(_ *remstore.Store, ss *remshard.ShardedStore) {
-		srv = remserve.NewSharded(ss, remserve.Options{})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			panic(err) // example wiring; a real deployment returns this
-		}
-		go func() {
-			if err := srv.Serve(l); err != nil {
-				fmt.Fprintln(os.Stderr, "http_query: serve:", err)
-			}
-		}()
-		keysCh <- ss.Keys()
-		addrCh <- l.Addr().String()
-	}
 	cfg.OnShardWindow = func(rep core.WindowReport, round remshard.Round) {
 		fmt.Printf("window %d: +%4d rows → round %d, %d/%d shards republished\n",
 			rep.Window, rep.NewRows, round.Seq, round.AffectedShards, cfg.Shards)
 	}
-	streamDone := make(chan *core.StreamResult, 1)
-	streamErr := make(chan error, 1)
-	go func() {
-		res, err := core.RunStream(cfg)
-		if err != nil {
-			streamErr <- err
-			return
-		}
-		streamDone <- res
-	}()
-
-	var addr string
-	var keys []string
-	select {
-	case err := <-streamErr:
+	node, err := remnode.Start(remnode.Config{Addr: "127.0.0.1:0", Stream: &cfg})
+	if err != nil {
 		return err
-	case addr = <-addrCh:
-		keys = <-keysCh
 	}
-	base := "http://" + addr
+	go node.Run(context.Background()) // stopped, and its error reported, by Shutdown below
+	base := "http://" + node.Addr()
 	client := &http.Client{Timeout: 5 * time.Second}
-	fmt.Printf("HTTP front on %s, %d keys served\n", base, len(keys))
+	fmt.Printf("HTTP front on %s\n", base)
 
 	// 2. Query over HTTP while the stream publishes: 503 until the
-	// first windows land, then versioned answers that step up as
-	// generations swap underneath.
-	key := keys[0]
-	var res *core.StreamResult
+	// first window lands, then versioned answers that step up as
+	// generations swap underneath. The best server at the probe is the
+	// key the point queries follow.
+	var key string
 	served, unavailable := 0, 0
 	lastVer := uint64(0)
-	for res == nil {
-		r, err := client.Get(base + "/at?key=" + key + "&x=2&y=1.5&z=1")
+	for streaming := true; streaming; {
+		select {
+		case <-node.Done():
+			streaming = false
+		default:
+		}
+		url := fmt.Sprintf("%s/strongest?x=%g&y=%g&z=%g", base, probe.X, probe.Y, probe.Z)
+		if key != "" {
+			url = base + "/at?key=" + key + "&x=2&y=1.5&z=1"
+		}
+		r, err := client.Get(url)
 		if err != nil {
 			return err
 		}
@@ -132,6 +110,7 @@ func run() error {
 				return err
 			}
 			served++
+			key = a.Key
 			if a.Version != lastVer {
 				fmt.Printf("  client saw generation swap → v%d\n", a.Version)
 				lastVer = a.Version
@@ -139,14 +118,12 @@ func run() error {
 		case http.StatusServiceUnavailable:
 			unavailable++ // before the first publish
 		default:
-			return fmt.Errorf("GET /at: %s: %s", r.Status, strings.TrimSpace(string(body)))
+			return fmt.Errorf("GET %s: %s: %s", url, r.Status, strings.TrimSpace(string(body)))
 		}
-		select {
-		case err := <-streamErr:
-			return err
-		case res = <-streamDone:
-		default:
-		}
+	}
+	res, err := node.Stream()
+	if err != nil {
+		return err
 	}
 	fmt.Printf("during the stream: %d answers served, %d early 503s\n", served, unavailable)
 
@@ -287,7 +264,5 @@ func run() error {
 	fmt.Printf("re-poll with If-None-Match: %s — one header exchange, no body\n", r.Status)
 
 	// Drain in-flight queries and stop.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	return node.Shutdown(context.Background())
 }

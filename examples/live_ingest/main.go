@@ -21,18 +21,16 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/remnode"
 	"repro/internal/remserve"
-	"repro/internal/remstore"
 	"repro/internal/remwal"
 	"repro/internal/simrand"
 )
@@ -54,16 +52,14 @@ func surveyDataset() *dataset.Dataset {
 	return d
 }
 
-// pipeline is one ingest run: WAL, queue, serving front and the core
-// loop, with every published version's codec bytes recorded.
+// pipeline is one ingest node — WAL, queue, serving front and the
+// core loop, assembled by remnode — with every published version's
+// codec bytes recorded.
 type pipeline struct {
-	srv       *httptest.Server
-	queue     *remwal.Queue
-	cancel    context.CancelFunc
-	done      chan error
+	node      *remnode.Node
+	url       string
 	published chan uint64
 	versions  map[uint64][]byte
-	store     *remstore.Store
 }
 
 // wait blocks until n more batches have published.
@@ -74,47 +70,16 @@ func (p *pipeline) wait(n int) {
 }
 
 func startPipeline(walDir string) *pipeline {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &pipeline{
-		cancel: cancel, done: make(chan error, 1),
-		published: make(chan uint64, 64), versions: map[uint64][]byte{},
-	}
-
-	var replay []remwal.Batch
-	var log *remwal.Log
-	if walDir != "" {
-		l, recs, err := remwal.Open(remwal.Config{Dir: walDir})
-		if err != nil {
-			panic(err)
-		}
-		log = l
-		replay, _ = remwal.Batches(recs)
-	}
-	p.queue = remwal.NewQueue(remwal.QueueConfig{Capacity: 16, Log: log})
-
-	cfg := core.IngestConfig{
-		Config:  core.DefaultConfig(7),
-		Queue:   p.queue,
-		Replay:  replay,
-		Context: ctx,
-	}
+	p := &pipeline{published: make(chan uint64, 64), versions: map[uint64][]byte{}}
+	cfg := core.IngestConfig{Config: core.DefaultConfig(7), MaxHistory: 32}
 	cfg.REMResolution = [3]int{6, 5, 4}
 	cfg.Workers = 1
-	cfg.MaxHistory = 32
-	started := make(chan struct{})
-	cfg.OnStore = func(st *remstore.Store) {
-		p.store = st
-		p.srv = httptest.NewServer(remserve.NewStore(st, remserve.Options{
-			Ingest: remserve.IngestOptions{Queue: p.queue, Token: "demo-token"},
-		}))
-		close(started)
-	}
 	cfg.OnBatch = func(rep core.IngestReport) {
 		src := "live"
 		if rep.Replayed {
 			src = "replay"
 		}
-		snap := p.store.SnapshotAt(rep.Version)
+		snap := p.node.Store().SnapshotAt(rep.Version)
 		var buf bytes.Buffer
 		if _, err := snap.Map().WriteTo(&buf); err != nil {
 			panic(err)
@@ -124,27 +89,26 @@ func startPipeline(walDir string) *pipeline {
 			rep.Seq, src, rep.Rows, rep.Version, rep.DirtyKeys, rep.SharedTiles)
 		p.published <- rep.Version
 	}
-	go func() {
-		_, err := core.RunIngestWithDataset(cfg, surveyDataset(), nil)
-		if log != nil {
-			if cerr := log.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		p.done <- err
-	}()
-	<-started
+	node, err := remnode.Start(remnode.Config{
+		Addr:          "127.0.0.1:0",
+		Ingest:        &cfg,
+		Dataset:       surveyDataset(),
+		Serve:         remserve.Options{Ingest: remserve.IngestOptions{Token: "demo-token"}},
+		WALDir:        walDir,
+		QueueCapacity: 16,
+	})
+	if err != nil {
+		panic(err)
+	}
+	p.node, p.url = node, "http://"+node.Addr()
+	go node.Run(context.Background()) // stopped, and its error reported, by stop
 	return p
 }
 
-// stop tears the pipeline down (cancel the loop, close the HTTP front)
-// and waits for the run to return.
+// stop shuts the node down: HTTP drained, queue closed, loop stopped,
+// WAL closed.
 func (p *pipeline) stop() {
-	p.cancel()
-	p.queue.Close()
-	err := <-p.done
-	p.srv.Close()
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, remwal.ErrClosed) {
+	if err := p.node.Shutdown(context.Background()); err != nil {
 		panic(err)
 	}
 }
@@ -186,9 +150,9 @@ func main() {
 
 	fmt.Println("== 1. the write surface ==")
 	p := startPipeline(walDir)
-	resp, body := post(p.srv.URL, "", "", []byte(`{"key":"aa:00","observations":[[1,1,1,-45]]}`))
+	resp, body := post(p.url, "", "", []byte(`{"key":"aa:00","observations":[[1,1,1,-45]]}`))
 	fmt.Printf("no token        → %d %s\n", resp.StatusCode, body)
-	resp, body = post(p.srv.URL, "demo-token", "",
+	resp, body = post(p.url, "demo-token", "",
 		[]byte(`{"key":"aa:00","observations":[[1,1,0.5,-45],[2,2,1,-52]]}`))
 	fmt.Printf("JSON batch      → %d %s\n", resp.StatusCode, body)
 	wire := remwal.AppendBatch(nil, remwal.Batch{
@@ -196,16 +160,16 @@ func main() {
 		Points: []geom.Vec3{geom.V(3, 1, 2)},
 		Values: []float64{-61.5},
 	})
-	resp, body = post(p.srv.URL, "demo-token", remserve.WireContentType, wire)
+	resp, body = post(p.url, "demo-token", remserve.WireContentType, wire)
 	fmt.Printf("binary REMO     → %d %s\n", resp.StatusCode, body)
-	resp, body = post(p.srv.URL, "demo-token", "", []byte(`{"key":"zz:99","observations":[[1,1,1,-45]]}`))
+	resp, body = post(p.url, "demo-token", "", []byte(`{"key":"zz:99","observations":[[1,1,1,-45]]}`))
 	fmt.Printf("unknown key     → %d %s\n", resp.StatusCode, body)
 
 	fmt.Println("\n== 2. one batch, one snapshot ==")
-	resp, body = post(p.srv.URL, "demo-token", "", []byte(`{"key":"cc:22","observations":[[0.5,2.5,1.5,-70]]}`))
+	resp, body = post(p.url, "demo-token", "", []byte(`{"key":"cc:22","observations":[[0.5,2.5,1.5,-70]]}`))
 	fmt.Printf("third batch     → %d %s\n", resp.StatusCode, body)
 	p.wait(3) // bootstrap is v1; the three batches publish v2..v4
-	fmt.Printf("store is at version %d (bootstrap was 1)\n", p.store.Stats().CurrentVersion)
+	fmt.Printf("store is at version %d (bootstrap was 1)\n", p.node.Store().Stats().CurrentVersion)
 
 	fmt.Println("\n== 3. rule 10: crash, replay, byte-identical snapshots ==")
 	live := p.versions

@@ -24,7 +24,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,10 +37,9 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/remfollow"
+	"repro/internal/remnode"
 	"repro/internal/remobs"
 	"repro/internal/remserve"
-	"repro/internal/remstore"
-	"repro/internal/remwal"
 	"repro/internal/simrand"
 )
 
@@ -63,70 +61,45 @@ func surveyDataset() *dataset.Dataset {
 	return d
 }
 
-// pipeline is the instrumented leader: WAL, queue, serving front and
-// the core ingest loop, all sharing one Observer.
-type pipeline struct {
-	obs       *remobs.Observer
-	srv       *httptest.Server
-	queue     *remwal.Queue
-	log       *remwal.Log
-	cancel    context.CancelFunc
-	done      chan error
+// leader is the instrumented ingester: WAL, queue, serving front and
+// the core ingest loop, assembled by remnode around one Observer.
+type leader struct {
+	node      *remnode.Node
+	url       string
 	published chan uint64
-	store     *remstore.Store
 }
 
-func startLeader(walDir string, obs *remobs.Observer) *pipeline {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &pipeline{
-		obs: obs, cancel: cancel, done: make(chan error, 1),
-		published: make(chan uint64, 64),
-	}
-	var err error
-	p.log, _, err = remwal.Open(remwal.Config{Dir: walDir, Observer: obs})
+func startLeader(walDir string, obs *remobs.Observer) *leader {
+	ld := &leader{published: make(chan uint64, 64)}
+	cfg := core.IngestConfig{Config: core.DefaultConfig(7), MaxHistory: 32}
+	cfg.REMResolution = [3]int{6, 5, 4}
+	cfg.Workers = 1
+	cfg.OnBatch = func(rep core.IngestReport) { ld.published <- rep.Version }
+	node, err := remnode.Start(remnode.Config{
+		Addr:          "127.0.0.1:0",
+		Ingest:        &cfg,
+		Dataset:       surveyDataset(),
+		Serve:         remserve.Options{Ingest: remserve.IngestOptions{Token: "demo-token"}},
+		WALDir:        walDir,
+		QueueCapacity: 16,
+		Observer:      obs,
+	})
 	if err != nil {
 		panic(err)
 	}
-	p.queue = remwal.NewQueue(remwal.QueueConfig{Capacity: 16, Log: p.log})
-	p.queue.SetObserver(obs)
-
-	cfg := core.IngestConfig{
-		Config:   core.DefaultConfig(7),
-		Queue:    p.queue,
-		Context:  ctx,
-		Observer: obs,
+	ld.node, ld.url = node, "http://"+node.Addr()
+	go node.Run(context.Background()) // stopped, and its error reported, by stop
+	// The front is up before the bootstrap publish; a follower syncing
+	// any earlier would meet a 503 on /snapshot.
+	for get(ld.url+"/healthz") != http.StatusOK {
+		time.Sleep(5 * time.Millisecond)
 	}
-	cfg.REMResolution = [3]int{6, 5, 4}
-	cfg.Workers = 1
-	cfg.MaxHistory = 32
-	started := make(chan struct{})
-	cfg.OnStore = func(st *remstore.Store) {
-		p.store = st
-		p.srv = httptest.NewServer(remserve.NewStore(st, remserve.Options{
-			Ingest:   remserve.IngestOptions{Queue: p.queue, Token: "demo-token"},
-			Observer: obs,
-		}))
-		close(started)
-	}
-	cfg.OnBatch = func(rep core.IngestReport) { p.published <- rep.Version }
-	go func() {
-		_, err := core.RunIngestWithDataset(cfg, surveyDataset(), nil)
-		if cerr := p.log.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		p.done <- err
-	}()
-	<-started
-	return p
+	return ld
 }
 
-// stop kills the leader wholesale: loop, queue, WAL and HTTP front.
-func (p *pipeline) stop() {
-	p.cancel()
-	p.queue.Close()
-	err := <-p.done
-	p.srv.Close()
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, remwal.ErrClosed) {
+// stop kills the leader wholesale: HTTP front, queue, loop and WAL.
+func (ld *leader) stop() {
+	if err := ld.node.Shutdown(context.Background()); err != nil {
 		panic(err)
 	}
 }
@@ -184,10 +157,10 @@ func main() {
 	obsL := remobs.New(64) // leader: store + WAL + ingest loop + HTTP front
 	obsF := remobs.New(64) // follower: replica store + sync loop + HTTP front
 	ld := startLeader(walDir, obsL)
-	fmt.Printf("leader ingesting %d keys on %s, WAL in %s\n", len(macs), ld.srv.URL, walDir)
+	fmt.Printf("leader ingesting %d keys on %s, WAL in %s\n", len(macs), ld.url, walDir)
 
 	fl, err := remfollow.New(remfollow.Config{
-		Leader:       ld.srv.URL,
+		Leader:       ld.url,
 		MaxStaleness: 2 * time.Second,
 		Observer:     obsF,
 	})
@@ -205,7 +178,7 @@ func main() {
 	// ── 2. mixed traffic, one scrape ──
 	fmt.Println("== 2. mixed traffic through the counter cube ==")
 	obsBody := []byte(`{"key":"aa:00","observations":[[1,1,0.5,-45],[2,2,1,-52]]}`)
-	req, _ := http.NewRequest(http.MethodPost, ld.srv.URL+"/observe", bytes.NewReader(obsBody))
+	req, _ := http.NewRequest(http.MethodPost, ld.url+"/observe", bytes.NewReader(obsBody))
 	req.Header.Set("Authorization", "Bearer demo-token")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -219,14 +192,14 @@ func main() {
 	}
 
 	for i := 0; i < 5; i++ { // JSON reads
-		if s := get(ld.srv.URL + "/at?key=aa:00&x=1&y=1&z=1"); s != http.StatusOK {
+		if s := get(ld.url + "/at?key=aa:00&x=1&y=1&z=1"); s != http.StatusOK {
 			panic(s)
 		}
 	}
 	points := []geom.Vec3{geom.V(1, 1, 1), geom.V(2, 2, 1), geom.V(3, 1, 2)}
 	for i := 0; i < 3; i++ { // binary-wire batch reads
 		body := remserve.AppendBatchRequest(nil, "bb:11", points)
-		req, _ := http.NewRequest(http.MethodPost, ld.srv.URL+"/at", bytes.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, ld.url+"/at", bytes.NewReader(body))
 		req.Header.Set("Content-Type", remserve.WireContentType)
 		req.Header.Set("Accept", remserve.WireContentType)
 		resp, err := http.DefaultClient.Do(req)
@@ -236,9 +209,9 @@ func main() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	get(ld.srv.URL + "/at?key=no:such:key&x=1&y=1&z=1") // a 4xx cell
+	get(ld.url + "/at?key=no:such:key&x=1&y=1&z=1") // a 4xx cell
 
-	text := scrape(ld.srv.URL)
+	text := scrape(ld.url)
 	for _, series := range []string{
 		`rem_http_requests_total{code="2xx",endpoint="at",wire="json"}`,
 		`rem_http_requests_total{code="2xx",endpoint="at",wire="binary"}`,

@@ -48,9 +48,6 @@ type IngestConfig struct {
 	// MaxHistory bounds the store's retained snapshot history
 	// (≤ 0 means remstore.DefaultMaxHistory).
 	MaxHistory int
-	// Store, when set, receives the published snapshots instead of a
-	// freshly created store (MaxHistory is then ignored).
-	Store *remstore.Store
 	// Queue is the batch source — required. The loop installs a
 	// vocabulary/geometry validator on it (so rejected batches never
 	// reach the WAL) and closes it when the loop exits, flipping the
@@ -104,8 +101,6 @@ type IngestResult struct {
 	// Store serves the published snapshots; Store.Current() is the final
 	// generation.
 	Store *remstore.Store
-	// Batches are the per-batch reports, in publish order.
-	Batches []IngestReport
 	// Data is the bootstrap mission dataset.
 	Data *dataset.Dataset
 	// Report is the mission flight report (nil for stored datasets).
@@ -185,10 +180,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 		Pre:       pre,
 		Estimator: inc,
 	}
-	res.Store = cfg.Store
-	if res.Store == nil {
-		res.Store = remstore.New(cfg.MaxHistory)
-	}
+	res.Store = remstore.New(cfg.MaxHistory)
 	// The vocabulary gate: a batch for an unknown MAC never reaches the
 	// WAL, so replay only ever sees batches this loop can encode.
 	cfg.Queue.SetValidator(func(b remwal.Batch) error {
@@ -275,7 +267,6 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 			SharedTiles: shared,
 			Replayed:    replayed,
 		}
-		res.Batches = append(res.Batches, rep)
 		o.markGeneration("batch", rep.Rows, rep.DirtyKeys, rep.SharedTiles,
 			time.Since(batchStart), fmt.Sprintf("seq=%d version=%d replayed=%v", rep.Seq, rep.Version, rep.Replayed))
 		if cfg.OnBatch != nil {
@@ -285,10 +276,10 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 		return nil
 	}
 
-	stopped := func(cause error) (*IngestResult, error) {
-		return res, fmt.Errorf("core: ingest stopped after %d batch(es): %w", len(res.Batches), cause)
-	}
 	seq := uint64(0)
+	stopped := func(cause error) (*IngestResult, error) {
+		return res, fmt.Errorf("core: ingest stopped after %d batch(es): %w", seq, cause)
+	}
 	for _, b := range cfg.Replay {
 		if err := cfg.Context.Err(); err != nil {
 			return stopped(err)

@@ -52,14 +52,16 @@ func runIngestTo(t *testing.T, log *remwal.Log, replay, live []remwal.Batch) (ma
 	cfg.Queue = q
 	cfg.Replay = replay
 	cfg.Context = context.Background()
+	var reps []IngestReport
+	cfg.OnBatch = func(rep IngestReport) { reps = append(reps, rep) }
 	res, err := RunIngestWithDataset(cfg, streamDataset(), nil)
 	if !errors.Is(err, remwal.ErrClosed) {
 		t.Fatalf("ingest run ended with %v, want queue closure", err)
 	}
-	if len(res.Batches) != len(replay)+len(live) {
-		t.Fatalf("published %d batches, want %d", len(res.Batches), len(replay)+len(live))
+	if len(reps) != len(replay)+len(live) {
+		t.Fatalf("published %d batches, want %d", len(reps), len(replay)+len(live))
 	}
-	for i, rep := range res.Batches {
+	for i, rep := range reps {
 		if rep.Seq != uint64(i+1) || rep.Version != uint64(i+2) {
 			t.Fatalf("batch %d: seq %d version %d, want %d/%d", i, rep.Seq, rep.Version, i+1, i+2)
 		}

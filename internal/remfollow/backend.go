@@ -155,30 +155,12 @@ func (f *Follower) Serve(l net.Listener) error {
 	}
 	f.srvMu.Lock()
 	f.hs = hs
-	f.addr = l.Addr().String()
 	f.srvMu.Unlock()
 	err := hs.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe binds addr (":0" picks a free port, see Addr) and
-// serves until Shutdown.
-func (f *Follower) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return f.Serve(l)
-}
-
-// Addr returns the bound listen address, or "" before Serve.
-func (f *Follower) Addr() string {
-	f.srvMu.Lock()
-	defer f.srvMu.Unlock()
-	return f.addr
 }
 
 // Shutdown stops accepting connections and drains in-flight requests.

@@ -179,10 +179,9 @@ type Follower struct {
 	forceFull bool
 	stats     SyncStats
 
-	// Listener lifecycle (Serve/Addr/Shutdown).
+	// Listener lifecycle (Serve/Shutdown).
 	srvMu sync.Mutex
 	hs    *http.Server
-	addr  string
 }
 
 // New builds a follower over cfg. The local store is created here and
@@ -273,8 +272,11 @@ func (e *corruptError) Unwrap() error { return e.err }
 // Run polls the leader until ctx is cancelled: Poll between successful
 // syncs, jittered exponential backoff after failures, the leader's own
 // Retry-After verbatim when throttled. It returns ctx's error on
-// cancellation — the only way it returns.
+// cancellation — the only way it returns — after closing the client's
+// idle connections, so a stopped follower holds none open on the
+// leader (a spare one would stall the leader's drain).
 func (f *Follower) Run(ctx context.Context) error {
+	defer f.client.CloseIdleConnections()
 	for {
 		err := f.SyncOnce(ctx)
 		if ctx.Err() != nil {

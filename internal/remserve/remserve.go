@@ -278,8 +278,8 @@ type Options struct {
 }
 
 // Server is the HTTP front. It is an http.Handler (mount it anywhere)
-// and owns an optional listener lifecycle: Serve/ListenAndServe block
-// until Shutdown, which stops accepting and drains in-flight requests.
+// and owns an optional listener lifecycle: Serve blocks until Shutdown,
+// which stops accepting and drains in-flight requests.
 type Server struct {
 	b           Backend
 	maxBytes    int64
@@ -291,9 +291,8 @@ type Server struct {
 	obs     *remobs.Observer
 	metrics *serveMetrics
 
-	mu   sync.Mutex
-	hs   *http.Server
-	addr string
+	mu sync.Mutex
+	hs *http.Server
 }
 
 // New builds a server over any backend.
@@ -341,36 +340,17 @@ func (s *Server) httpServer() *http.Server {
 }
 
 // Serve accepts connections on l until Shutdown; a clean shutdown
-// returns nil. The bound address is available via Addr from the moment
-// Serve is entered.
+// returns nil.
 func (s *Server) Serve(l net.Listener) error {
 	hs := s.httpServer()
 	s.mu.Lock()
 	s.hs = hs
-	s.addr = l.Addr().String()
 	s.mu.Unlock()
 	err := hs.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe binds addr (":0" picks a free port, see Addr) and
-// serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Addr returns the bound listen address, or "" before Serve.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
 }
 
 // Shutdown stops accepting new connections and drains in-flight

@@ -521,11 +521,6 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(l) }()
-	// Serve records the bound address before accepting; wait for it so
-	// the client below cannot race a still-empty Addr.
-	for srv.Addr() == "" {
-		time.Sleep(time.Millisecond)
-	}
 
 	type result struct {
 		status int
@@ -534,7 +529,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		r, err := http.Get(fmt.Sprintf("http://%s/at?key=%s&x=1&y=1", srv.Addr(), keys[0]))
+		r, err := http.Get(fmt.Sprintf("http://%s/at?key=%s&x=1&y=1", l.Addr(), keys[0]))
 		if err != nil {
 			resCh <- result{err: err}
 			return
