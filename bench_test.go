@@ -827,6 +827,80 @@ func BenchmarkKNNMergeFrontier16(b *testing.B)   { benchmarkKNNMergeFrontier(b, 
 func BenchmarkKNNMergeFrontier128(b *testing.B)  { benchmarkKNNMergeFrontier(b, 128) }
 func BenchmarkKNNMergeFrontier512(b *testing.B)  { benchmarkKNNMergeFrontier(b, 512) }
 
+// ---------------------------------------------------------------------------
+// Estimator ingest cost (BENCH_rem.json "knn_ingest"): one KD-tree build,
+// and the per-MAC kNN absorbing a live-ingest history batch by batch. The
+// per-batch cost should follow the batch, not the rows already ingested.
+
+// BenchmarkKDTreeBuild fits an xyz-only regressor on 4000 points: a copy
+// of the rows plus one KD-tree build over them.
+func BenchmarkKDTreeBuild(b *testing.B) {
+	rng := simrand.New(5)
+	x := make([][]float64, 4000)
+	y := make([]float64, len(x))
+	for i := range x {
+		x[i] = []float64{rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6)}
+		y[i] = rng.Range(-95, -40)
+	}
+	r, err := knn.New(knn.PaperPlainConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPerKeyIngest200 fits the per-MAC kNN on a 44-key, 3168-row
+// survey, then times 200 Observe+Refit batches of 64 rows, each batch
+// under one key — the shape of rembench's ingest history. One op is the
+// whole 200-batch history.
+func BenchmarkPerKeyIngest200(b *testing.B) {
+	const nKeys, surveyRows, batches, batchRows = 44, 3168, 200, 64
+	rng := simrand.New(2026)
+	row := func(key int) ([]float64, float64) {
+		r := make([]float64, 3+nKeys)
+		r[0], r[1], r[2] = rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6)
+		r[3+key] = 1
+		return r, -60 - 8*math.Hypot(r[0]-2, r[1]-1.5) + rng.Gauss(0, 2)
+	}
+	sx := make([][]float64, surveyRows)
+	sy := make([]float64, surveyRows)
+	for i := range sx {
+		sx[i], sy[i] = row(i % nKeys) // every key surveyed
+	}
+	bx := make([][][]float64, batches)
+	by := make([][]float64, batches)
+	for i := range bx {
+		key := rng.Intn(nKeys)
+		bx[i] = make([][]float64, batchRows)
+		by[i] = make([]float64, batchRows)
+		for j := range bx[i] {
+			bx[i][j], by[i][j] = row(key)
+		}
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		b.StopTimer()
+		p := &knn.PerKey{Sub: knn.PaperPlainConfig(), KeyOffset: 3}
+		if err := p.Fit(sx, sy); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for i := range bx {
+			if _, err := p.Observe(bx[i], by[i]); err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Refit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // benchmarkGridSearch evaluates the §III-B kNN hyper-parameter grid on a
 // synthetic training set with the given worker count.
 func benchmarkGridSearch(b *testing.B, workers int) {

@@ -276,8 +276,53 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	predictAllBits(t, "degraded-layout", r, fresh, queries)
 }
 
+// fallbackQueries derives, from one-hot queries, the rows only the
+// global fallback answers: each with its one-hot block cleared, and each
+// with a second hot key beside its own.
+func fallbackQueries(queries [][]float64, offset int) [][]float64 {
+	var out [][]float64
+	for _, q := range queries {
+		none := append([]float64(nil), q...)
+		two := append([]float64(nil), q...)
+		for i := offset; i < len(q); i++ {
+			none[i] = 0
+		}
+		hot := hotIndex(q, offset)
+		two[offset+(hot+1)%(len(q)-offset)] = q[offset+hot]
+		out = append(out, none, two)
+	}
+	return out
+}
+
+// perKeyStep observes one batch and refits, checking bit-identity with a
+// fresh fit on the cumulative rows both before and after the refit, for
+// one-hot queries and for queries that reach the global fallback.
+func perKeyStep(t *testing.T, inc *PerKey, x [][]float64, y []float64, from, to int, queries [][]float64) {
+	t.Helper()
+	if _, err := inc.Observe(x[from:to], y[from:to]); err != nil {
+		t.Fatal(err)
+	}
+	fresh := &PerKey{Sub: inc.Sub, KeyOffset: inc.KeyOffset}
+	if err := fresh.Fit(x[:to], y[:to]); err != nil {
+		t.Fatal(err)
+	}
+	fallback := fallbackQueries(queries, inc.KeyOffset)
+	predictAllBits(t, "per-key pre-refit", inc, fresh, queries)
+	predictAllBits(t, "fallback pre-refit", inc, fresh, fallback)
+	if err := inc.Refit(); err != nil {
+		t.Fatal(err)
+	}
+	predictAllBits(t, "per-key", inc, fresh, queries)
+	predictAllBits(t, "fallback", inc, fresh, fallback)
+	if len(inc.global.x) != to {
+		t.Fatalf("global fallback holds %d rows, want %d", len(inc.global.x), to)
+	}
+}
+
 // TestPerKeyIncrementalIdentity is rule 7 for the per-MAC ensemble, the
-// estimator with tight dirty sets.
+// estimator with tight dirty sets — including the queries with no hot
+// key or two hot keys that only the global fallback answers, whose
+// insert log stays unmerged once every key has a sub-regressor.
 func TestPerKeyIncrementalIdentity(t *testing.T) {
 	rng := simrand.New(777)
 	const nKeys = 4
@@ -287,18 +332,56 @@ func TestPerKeyIncrementalIdentity(t *testing.T) {
 	if err := inc.Fit(x[:100], y[:100]); err != nil {
 		t.Fatal(err)
 	}
+	if !inc.covered() {
+		t.Fatal("the first fit should give every key a sub-regressor")
+	}
 	for _, cut := range [][2]int{{100, 140}, {140, 200}} {
-		if _, err := inc.Observe(x[cut[0]:cut[1]], y[cut[0]:cut[1]]); err != nil {
-			t.Fatal(err)
+		perKeyStep(t, inc, x, y, cut[0], cut[1], queries)
+		if inc.global.indexed != 100 {
+			t.Fatalf("covered vocabulary: fallback merged to %d rows, want the fitted 100", inc.global.indexed)
 		}
-		if err := inc.Refit(); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestPerKeyFallbackMergesWhileKeyMissing: while a key has no
+// sub-regressor it predicts through the global fallback, so Refit keeps
+// that fallback merged; the batch that brings the last key in leaves it
+// unmerged from then on. Bits match a fresh fit at every step.
+func TestPerKeyFallbackMergesWhileKeyMissing(t *testing.T) {
+	rng := simrand.New(4242)
+	const nKeys, missing = 4, 3
+	x, y := knnStream(nKeys, 260, 1, rng)
+	// Key 3 is absent from the first 180 rows, so the first fit and the
+	// next two batches never see it.
+	for _, row := range x[:180] {
+		if row[3+missing] != 0 {
+			row[3+missing], row[3] = 0, 1
 		}
-		fresh := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
-		if err := fresh.Fit(x[:cut[1]], y[:cut[1]]); err != nil {
-			t.Fatal(err)
+	}
+	queries, _ := knnStream(nKeys, 48, 1, rng)
+	inc := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+	if err := inc.Fit(x[:80], y[:80]); err != nil {
+		t.Fatal(err)
+	}
+	if inc.covered() {
+		t.Fatal("key 3 should lack a sub-regressor after the first fit")
+	}
+	cuts := []int{80, 130, 180, 220, 260}
+	for c := 1; c < len(cuts); c++ {
+		perKeyStep(t, inc, x, y, cuts[c-1], cuts[c], queries)
+		g := inc.global
+		if !inc.covered() {
+			if g.indexed != len(g.x) {
+				t.Fatalf("rows %d: key %d missing, fallback left %d of %d rows unmerged", cuts[c], missing, len(g.x)-g.indexed, len(g.x))
+			}
+			continue
 		}
-		predictAllBits(t, "per-key", inc, fresh, queries)
+		if g.indexed == len(g.x) {
+			t.Fatalf("rows %d: every key covered, fallback still merged", cuts[c])
+		}
+	}
+	if !inc.covered() {
+		t.Fatal("the last batches should bring key 3 in")
 	}
 }
 

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -132,15 +133,8 @@ func (t *kdTree) build(lo, hi int) int32 {
 		// All points coincide on every axis: keep as a leaf.
 		return ni
 	}
-	seg := t.order[lo:hi]
-	sort.Slice(seg, func(a, b int) bool {
-		pa, pb := t.pts[seg[a]][axis], t.pts[seg[b]][axis]
-		if pa != pb {
-			return pa < pb
-		}
-		return seg[a] < seg[b]
-	})
 	mid := lo + (hi-lo)/2
+	t.selectNth(lo, hi, mid, axis, 2*bits.Len(uint(hi-lo)))
 	split := t.pts[t.order[mid]][axis]
 	t.nodes[ni].axis = axis
 	t.nodes[ni].split = split
@@ -149,6 +143,64 @@ func (t *kdTree) build(lo, hi int) int32 {
 	t.nodes[ni].left = left
 	t.nodes[ni].right = right
 	return ni
+}
+
+// less is the build's total order on tree-local positions: coordinate
+// on axis, then position. Positions are distinct, so no two points tie.
+func (t *kdTree) less(axis, a, b int) bool {
+	pa, pb := t.pts[a][axis], t.pts[b][axis]
+	if pa != pb {
+		return pa < pb
+	}
+	return a < b
+}
+
+// selectNth permutes order[lo:hi] so that order[nth] holds the point a
+// full sort by less would put there, every point before it precedes it
+// and every point after it follows it: quickselect with a median-of-three
+// pivot. The sides stay unordered. Each subtree still gets the point set
+// a full sort would give it, so the tree's nodes are the same; only the
+// order of points within a leaf can differ, and searches do not depend
+// on it (a leaf is scanned whole, and nearest ranks candidates by
+// (dist, idx) whatever order they arrive in). After rounds partition
+// passes the segment left is sorted outright, which bounds adversarial
+// inputs at O(n log n).
+func (t *kdTree) selectNth(lo, hi, nth, axis, rounds int) {
+	o := t.order
+	for ; hi-lo > 1; rounds-- {
+		if rounds <= 0 {
+			seg := o[lo:hi]
+			sort.Slice(seg, func(a, b int) bool { return t.less(axis, seg[a], seg[b]) })
+			return
+		}
+		// Median of first, middle and last goes to hi-1 as the pivot.
+		m, last := lo+(hi-lo)/2, hi-1
+		if t.less(axis, o[m], o[lo]) {
+			o[m], o[lo] = o[lo], o[m]
+		}
+		if t.less(axis, o[last], o[lo]) {
+			o[last], o[lo] = o[lo], o[last]
+		}
+		if t.less(axis, o[m], o[last]) {
+			o[m], o[last] = o[last], o[m]
+		}
+		pivot, store := o[last], lo
+		for i := lo; i < last; i++ {
+			if t.less(axis, o[i], pivot) {
+				o[i], o[store] = o[store], o[i]
+				store++
+			}
+		}
+		o[store], o[last] = o[last], o[store]
+		switch {
+		case nth == store:
+			return
+		case nth < store:
+			hi = store
+		default:
+			lo = store + 1
+		}
+	}
 }
 
 // widestAxis returns the axis with the largest coordinate range over

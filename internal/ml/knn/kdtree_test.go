@@ -2,6 +2,9 @@ package knn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 	"sync"
 	"testing"
 
@@ -271,6 +274,171 @@ func TestBruteForceTieOrdering(t *testing.T) {
 		}
 		if got != 1.5 { // indices 0 and 1 win the tie
 			t.Errorf("brute=%v: tie-broken k=2 mean = %v, want 1.5", brute, got)
+		}
+	}
+}
+
+// sortBuild is the reference KD build: every level fully sorted by
+// (coordinate, tree-local position) and split at the middle element. The
+// selecting build must reproduce it node for node.
+func sortBuild(pts [][]float64) *kdTree {
+	t := &kdTree{pts: pts, order: make([]int, len(pts))}
+	for i := range t.order {
+		t.order[i] = i
+	}
+	var build func(lo, hi int) int32
+	build = func(lo, hi int) int32 {
+		ni := int32(len(t.nodes))
+		t.nodes = append(t.nodes, kdNode{left: -1, right: -1, lo: int32(lo), hi: int32(hi)})
+		if hi-lo <= kdLeafSize {
+			return ni
+		}
+		axis, spread := t.widestAxis(lo, hi)
+		if spread == 0 {
+			return ni
+		}
+		seg := t.order[lo:hi]
+		sort.Slice(seg, func(a, b int) bool {
+			pa, pb := t.pts[seg[a]][axis], t.pts[seg[b]][axis]
+			if pa != pb {
+				return pa < pb
+			}
+			return seg[a] < seg[b]
+		})
+		mid := lo + (hi-lo)/2
+		t.nodes[ni].axis = axis
+		t.nodes[ni].split = t.pts[t.order[mid]][axis]
+		left := build(lo, mid)
+		right := build(mid, hi)
+		t.nodes[ni].left, t.nodes[ni].right = left, right
+		return ni
+	}
+	if len(pts) > 0 {
+		build(0, len(pts))
+	}
+	return t
+}
+
+// kdShapes are point clouds that stress the build's selection: heavy
+// coordinate ties, full coincidence, sizes around the leaf bound, sorted
+// and reverse-sorted input, and the organ-pipe order that defeats a
+// median-of-three pivot until the round budget runs out and the segment
+// is sorted outright.
+func kdShapes() map[string][][]float64 {
+	rng := simrand.New(2024)
+	shapes := map[string][][]float64{}
+	random := func(n int, grid float64) [][]float64 {
+		pts := make([][]float64, n)
+		for i := range pts {
+			p := []float64{rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6)}
+			if grid > 0 {
+				for a := range p {
+					p[a] = math.Floor(p[a] * grid)
+				}
+			}
+			pts[i] = p
+		}
+		return pts
+	}
+	line := func(n int, at func(i int) float64) [][]float64 {
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = []float64{at(i), 0.5 * float64(i%3), 1}
+		}
+		return pts
+	}
+	shapes["random-1000"] = random(1000, 0)
+	shapes["repeated-coords-1000"] = random(1000, 1)
+	shapes["repeated-coords-4000"] = random(4000, 2)
+	coincident := make([][]float64, 300)
+	for i := range coincident {
+		coincident[i] = []float64{1, 2, 0.5}
+	}
+	shapes["all-coincident"] = coincident
+	for _, n := range []int{kdLeafSize - 1, kdLeafSize, kdLeafSize + 1, 2*kdLeafSize + 1} {
+		shapes[fmt.Sprintf("random-%d", n)] = random(n, 0)
+		shapes[fmt.Sprintf("repeated-coords-%d", n)] = random(n, 1)
+	}
+	for _, n := range []int{1000, 4097} {
+		shapes[fmt.Sprintf("sorted-%d", n)] = line(n, func(i int) float64 { return float64(i) })
+		shapes[fmt.Sprintf("reverse-%d", n)] = line(n, func(i int) float64 { return float64(n - i) })
+		shapes[fmt.Sprintf("organ-pipe-%d", n)] = line(n, func(i int) float64 { return float64(min(i, n-1-i)) })
+	}
+	return shapes
+}
+
+// TestKDBuildMatchesSortBuild: building by selection yields the same
+// nodes — axis, split, point range and children — as sorting every
+// level, and the same set of points in every leaf. Only the order of
+// points inside a leaf may differ, which no search depends on.
+func TestKDBuildMatchesSortBuild(t *testing.T) {
+	for name, pts := range kdShapes() {
+		t.Run(name, func(t *testing.T) {
+			ids := make([]int, len(pts))
+			for i := range ids {
+				ids[i] = i
+			}
+			got, want := newKDTree(pts, ids), sortBuild(pts)
+			if len(got.nodes) != len(want.nodes) {
+				t.Fatalf("%d nodes, want %d", len(got.nodes), len(want.nodes))
+			}
+			for i, n := range got.nodes {
+				if n != want.nodes[i] {
+					t.Fatalf("node %d = %+v, want %+v", i, n, want.nodes[i])
+				}
+				if n.left >= 0 {
+					continue
+				}
+				a := append([]int(nil), got.order[n.lo:n.hi]...)
+				b := append([]int(nil), want.order[n.lo:n.hi]...)
+				sort.Ints(a)
+				sort.Ints(b)
+				if fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("leaf node %d holds %v, want %v", i, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestSelectNthRoundBudget: selection puts the sort-order element at nth
+// with every smaller element before it and every larger one after, for
+// any round budget — zero sorts at once, a small budget runs out part
+// way and sorts the segment left — and leaves the rest of order alone.
+func TestSelectNthRoundBudget(t *testing.T) {
+	for name, pts := range kdShapes() {
+		n := len(pts)
+		sorted := make([]int, n)
+		for i := range sorted {
+			sorted[i] = i
+		}
+		ref := &kdTree{pts: pts}
+		sort.Slice(sorted, func(a, b int) bool { return ref.less(0, sorted[a], sorted[b]) })
+		rank := make([]int, n)
+		for r, p := range sorted {
+			rank[p] = r
+		}
+		for _, rounds := range []int{0, 1, 3, 2 * bits.Len(uint(n))} {
+			for _, nth := range []int{0, n / 3, n / 2, n - 1} {
+				tr := &kdTree{pts: pts, order: make([]int, n)}
+				for i := range tr.order {
+					tr.order[i] = i
+				}
+				tr.selectNth(0, n, nth, 0, rounds)
+				if got := tr.order[nth]; rank[got] != nth {
+					t.Fatalf("%s rounds=%d nth=%d: order[nth] has rank %d", name, rounds, nth, rank[got])
+				}
+				seen := make([]bool, n)
+				for i, p := range tr.order {
+					if seen[p] {
+						t.Fatalf("%s rounds=%d: position %d duplicated", name, rounds, p)
+					}
+					seen[p] = true
+					if (i < nth && rank[p] > nth) || (i > nth && rank[p] < nth) {
+						t.Fatalf("%s rounds=%d nth=%d: rank %d on the wrong side at %d", name, rounds, nth, rank[p], i)
+					}
+				}
+			}
 		}
 	}
 }

@@ -176,14 +176,20 @@ func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	if len(x) == 0 {
 		return nil, nil
 	}
-	for _, row := range x {
-		r.x = append(r.x, append([]float64(nil), row...))
-	}
-	r.y = append(r.y, y...)
+	r.appendLog(x, y)
 	if len(r.x)-r.indexed > r.mergeThreshold() {
 		r.merge()
 	}
 	return []int{ml.DirtyAll}, nil
+}
+
+// appendLog copies validated rows onto the insert log without merging;
+// queries scan them beside the index until the next merge.
+func (r *Regressor) appendLog(x [][]float64, y []float64) {
+	for _, row := range x {
+		r.x = append(r.x, append([]float64(nil), row...))
+	}
+	r.y = append(r.y, y...)
 }
 
 // mergeThreshold resolves the insert-log bound: the configured value, or

@@ -18,6 +18,15 @@ import (
 // batch's keys (plus the keys still served by the global fallback, which
 // every sample moves). That locality is what makes incremental REM
 // rebuilds proportional to the delta.
+//
+// The global fallback answers keys without a sub-regressor and queries
+// with no (or several) hot keys. While some key still lacks a
+// sub-regressor it is kept merged like any Regressor; once every key in
+// the one-hot block has one, Observe only appends to its insert log and
+// Refit leaves the log unmerged, so a batch costs work proportional to
+// the batch rather than a rebuild of an index over the whole history.
+// Queries that do reach the fallback scan the log beside the index and
+// get the same bits either way.
 type PerKey struct {
 	// Sub configures every per-key regressor (the paper keeps the tuned
 	// plain-kNN hyper-parameters).
@@ -88,7 +97,9 @@ func (p *PerKey) Fit(x [][]float64, y []float64) error {
 // key's sub-regressor (created on first sight) and to the global
 // fallback. The dirty set is the batch's keys plus every key that still
 // lacks a sub-regressor — those predict through the global fallback,
-// which any new sample moves. Not safe concurrently with queries.
+// which any new sample moves. Once every key has a sub-regressor the
+// rows only join the fallback's insert log (no threshold merge: no key
+// predicts through it any more). Not safe concurrently with queries.
 func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 	if !p.fitted {
 		return nil, ml.ErrNotFitted
@@ -121,7 +132,9 @@ func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 		}
 		p.subs[key] = sub
 	}
-	if _, err := p.global.Observe(allXYZ, y); err != nil {
+	if p.covered() {
+		p.global.appendLog(allXYZ, y)
+	} else if _, err := p.global.Observe(allXYZ, y); err != nil {
 		return nil, err
 	}
 	for k := 0; k < p.width; k++ {
@@ -137,8 +150,9 @@ func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 	return out, nil
 }
 
-// Refit implements ml.IncrementalEstimator: every sub-regressor and the
-// global fallback merge their insert logs.
+// Refit implements ml.IncrementalEstimator: every sub-regressor merges
+// its insert log, and so does the global fallback while some key still
+// predicts through it.
 func (p *PerKey) Refit() error {
 	if !p.fitted {
 		return ml.ErrNotFitted
@@ -148,8 +162,15 @@ func (p *PerKey) Refit() error {
 			return err
 		}
 	}
+	if p.covered() {
+		return nil
+	}
 	return p.global.Refit()
 }
+
+// covered reports whether every key of the one-hot block has its own
+// sub-regressor, leaving the global fallback to key-less queries only.
+func (p *PerKey) covered() bool { return len(p.subs) == p.width }
 
 // Predict implements ml.Estimator.
 func (p *PerKey) Predict(q []float64) (float64, error) {
