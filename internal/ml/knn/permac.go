@@ -21,10 +21,10 @@ import (
 //
 // The global fallback answers keys without a sub-regressor and queries
 // with no (or several) hot keys. While some key still lacks a
-// sub-regressor it is kept merged like any Regressor; once every key in
-// the one-hot block has one, Observe only appends to its insert log and
-// Refit leaves the log unmerged, so a batch costs work proportional to
-// the batch rather than a rebuild of an index over the whole history.
+// sub-regressor Refit merges it like any Regressor; once every key in
+// the one-hot block has one, Refit leaves its insert log unmerged, so a
+// batch costs work proportional to the batch rather than a rebuild of an
+// index over the whole history. Observe only ever appends to the log.
 // Queries that do reach the fallback scan the log beside the index and
 // get the same bits either way.
 type PerKey struct {
@@ -97,9 +97,8 @@ func (p *PerKey) Fit(x [][]float64, y []float64) error {
 // key's sub-regressor (created on first sight) and to the global
 // fallback. The dirty set is the batch's keys plus every key that still
 // lacks a sub-regressor — those predict through the global fallback,
-// which any new sample moves. Once every key has a sub-regressor the
-// rows only join the fallback's insert log (no threshold merge: no key
-// predicts through it any more). Not safe concurrently with queries.
+// which any new sample moves. The fallback only logs the rows; Refit
+// decides whether to merge them. Not safe concurrently with queries.
 func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 	if !p.fitted {
 		return nil, ml.ErrNotFitted
@@ -132,11 +131,7 @@ func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 		}
 		p.subs[key] = sub
 	}
-	if p.covered() {
-		p.global.appendLog(allXYZ, y)
-	} else if _, err := p.global.Observe(allXYZ, y); err != nil {
-		return nil, err
-	}
+	p.global.appendLog(allXYZ, y)
 	for k := 0; k < p.width; k++ {
 		if _, ok := p.subs[k]; !ok {
 			dirty[k] = true
