@@ -11,6 +11,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -899,6 +901,70 @@ func BenchmarkPerKeyIngest200(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkIngestReplay200 is the ingest loop end to end, without HTTP
+// or fsync: RunIngestWithDataset bootstraps the per-MAC kNN on a 44-key
+// survey (every key read at the same 72 waypoints) and rasterises the
+// paper grid (12×10×6), then replays 200 seeded batches of 64 readings,
+// each under one key along a UAV walk of at most 0.1 m per axis between
+// readings — the shape of rembench's recover workload. One op is
+// bootstrap plus the 200 batches; ms/batch is the mean time between
+// consecutive batch publishes (the replay rate, bootstrap excluded).
+func BenchmarkIngestReplay200(b *testing.B) {
+	const nKeys, waypoints, batches, batchRows, step = 44, 72, 200, 64, 0.1
+	rng := simrand.New(2027)
+	vol := geom.PaperScanVolume()
+	pos := func() geom.Vec3 {
+		return geom.V(rng.Range(vol.Min.X, vol.Max.X), rng.Range(vol.Min.Y, vol.Max.Y), rng.Range(vol.Min.Z, vol.Max.Z))
+	}
+	rss := func(p geom.Vec3) float64 { return -60 - 8*math.Hypot(p.X-2, p.Y-1.5) + rng.Gauss(0, 2) }
+	macs := make([]string, nKeys)
+	for i := range macs {
+		macs[i] = fmt.Sprintf("02:00:00:00:00:%02x", i)
+	}
+	data := &dataset.Dataset{}
+	for w := 0; w < waypoints; w++ {
+		p := pos()
+		for _, mac := range macs {
+			data.Add(dataset.Sample{UAV: "A", X: p.X, Y: p.Y, Z: p.Z, MAC: mac, SSID: "net", RSSI: int(rss(p)), Channel: 1})
+		}
+	}
+	replay := make([]remwal.Batch, batches)
+	for i := range replay {
+		bt := remwal.Batch{Key: macs[rng.Intn(nKeys)]}
+		for j, p := 0, pos(); j < batchRows; j++ {
+			p = vol.Clamp(p.Add(geom.V(rng.Range(-step, step), rng.Range(-step, step), rng.Range(-step, step))))
+			bt.Points = append(bt.Points, p)
+			bt.Values = append(bt.Values, rss(p))
+		}
+		replay[i] = bt
+	}
+	var perBatch time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		q := remwal.NewQueue(remwal.QueueConfig{})
+		q.Close()
+		var first, last time.Time
+		cfg := core.IngestConfig{
+			Config:  core.DefaultConfig(1),
+			Queue:   q,
+			Replay:  replay,
+			Context: context.Background(),
+			OnBatch: func(r core.IngestReport) {
+				last = time.Now()
+				if r.Seq == 1 {
+					first = last
+				}
+			},
+		}
+		if _, err := core.RunIngestWithDataset(cfg, data, nil); !errors.Is(err, remwal.ErrClosed) {
+			b.Fatalf("ingest ended with %v, want queue closure", err)
+		}
+		perBatch += last.Sub(first) / (batches - 1)
+	}
+	b.ReportMetric(float64(perBatch.Microseconds())/1e3/float64(b.N), "ms/batch")
 }
 
 // benchmarkGridSearch evaluates the §III-B kNN hyper-parameter grid on a

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/ml"
+	"repro/internal/ml/knn"
 	"repro/internal/rem"
 	"repro/internal/remobs"
 	"repro/internal/remstore"
@@ -20,8 +22,9 @@ import (
 // windowing a pre-recorded dataset, RunIngest bootstraps the estimator
 // on the mission's survey and then consumes live observation batches
 // from a remwal.Queue — each popped batch is one window (Observe →
-// Refit → RebuildKeys → Publish), so the serving store advances one
-// version per accepted batch and queries never block on a rebuild.
+// Refit → re-predict the cells it can reach, or RebuildKeys → Publish;
+// see ingestRaster), so the serving store advances one version per
+// accepted batch and queries never block on a rebuild.
 //
 // Durability rides on the queue's write-ahead log: a batch is
 // acknowledged only after its canonical REMO bytes are on disk, and
@@ -166,8 +169,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 	inc := ml.NewRefitAdapter(est)
 	allX, allY := pre.DesignMatrix(spec.Features)
 	featDim := pre.FeatureDim(spec.Features)
-	predict := BatchPredictorFor(inc, featDim, spec.Features.OneHotMACScale)
-	opts := rem.BuildOptions{Workers: cfg.Workers}
+	ras := newIngestRaster(inc, featDim, spec.Features.OneHotMACScale, cfg.REMResolution, rem.BuildOptions{Workers: cfg.Workers})
 	vol := geom.PaperScanVolume()
 	nKeys := len(pre.MACs)
 	macIdx := make(map[string]int, nKeys)
@@ -207,7 +209,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 	}
 	fitD := time.Since(t)
 	t = time.Now()
-	cur, err := rem.BuildMapBatch(vol, cfg.REMResolution[0], cfg.REMResolution[1], cfg.REMResolution[2], pre.MACs, predict, opts)
+	cur, err := ras.bootstrap(vol, pre.MACs)
 	if err != nil {
 		return nil, fmt.Errorf("core: rasterising the bootstrap snapshot: %w", err)
 	}
@@ -216,7 +218,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 		return nil, err
 	}
 	o.markStages(0, fitD, buildD)
-	o.markGeneration("batch", len(allX), nKeys, 0, time.Since(bootStart), "bootstrap version=1")
+	o.markGeneration("batch", len(allX), nKeys, nKeys*ras.stride, 0, time.Since(bootStart), "bootstrap version=1")
 
 	processBatch := func(b remwal.Batch, seq uint64, replayed bool) error {
 		batchStart := time.Now()
@@ -248,7 +250,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 		refitD := time.Since(t)
 		dirtyKeys := resolveDirty(dirty, nKeys, false)
 		t = time.Now()
-		next, err := cur.RebuildKeys(dirtyKeys, predict, opts)
+		next, cells, err := ras.next(cur, ki, x, y, dirtyKeys)
 		if err != nil {
 			return fmt.Errorf("core: rasterising batch %d: %w", seq, err)
 		}
@@ -267,7 +269,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 			SharedTiles: shared,
 			Replayed:    replayed,
 		}
-		o.markGeneration("batch", rep.Rows, rep.DirtyKeys, rep.SharedTiles,
+		o.markGeneration("batch", rep.Rows, rep.DirtyKeys, cells, rep.SharedTiles,
 			time.Since(batchStart), fmt.Sprintf("seq=%d version=%d replayed=%v", rep.Seq, rep.Version, rep.Replayed))
 		if cfg.OnBatch != nil {
 			cfg.OnBatch(rep)
@@ -303,3 +305,197 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 		}
 	}
 }
+
+// ingestRaster derives the ingest loop's generations. For the per-MAC
+// kNN it keeps, per (key, cell), R: the squared distance of the cell's
+// k-th neighbour under that key's sub-regressor. A row observed later
+// for the key enters a cell's neighbour set only if its squared distance
+// to the centre is strictly below R — it has a higher training index
+// than every row already there, so it loses every distance tie — and
+// the cell's value depends on nothing else. A batch then re-predicts
+// only the cells its rows reach, and the snapshot is the one a full-key
+// rebuild would publish (rule 7; DESIGN.md).
+//
+// The bounds are derived state: the bootstrap raster fills them from its
+// own predictions, every re-predicted cell and every full-key rebuild
+// refreshes them, and nothing serialises them — a restart rebuilds them
+// the same way. They belong to the loop goroutine (the pool workers of a
+// full-key rebuild write disjoint ranges).
+type ingestRaster struct {
+	predict rem.BatchPredictFunc // every estimator's full-key path
+	opts    rem.BuildOptions
+	res     [3]int
+	stride  int // cells per key
+	// pk is the per-MAC kNN the bounds describe; nil keeps every batch
+	// on the full-key path.
+	pk      *knn.PerKey
+	kth     []float64   // kth[ki*stride+idx] = R of cell idx under key ki
+	centres [][]float64 // cell centres (rem.Map.CellCenter) as query rows
+	// masked reports whether the last derivation took the masked path,
+	// and reached the cells it re-predicted (scratch reused across
+	// batches).
+	masked  bool
+	reached []int
+	vals    []float64
+	sq      []float64
+	qs      [][]float64
+}
+
+// newIngestRaster prepares the derivation for est under the pipeline's
+// feature encoding (see BatchPredictorFor).
+func newIngestRaster(est ml.Estimator, dim int, scale float64, res [3]int, opts rem.BuildOptions) *ingestRaster {
+	r := &ingestRaster{
+		predict: BatchPredictorFor(est, dim, scale),
+		opts:    opts,
+		res:     res,
+		stride:  res[0] * res[1] * res[2],
+	}
+	// The masked path needs queries that route by key: a one-hot block
+	// right after xyz, which is how the rows are encoded below.
+	if pk, ok := est.(*knn.PerKey); ok && pk.KeyOffset == 3 && scale != 0 {
+		r.pk = pk
+	}
+	return r
+}
+
+// rangePredict is the full-key predictor. For the per-MAC kNN it answers
+// through PredictKeyInto — Predict's bits — and records each cell's bound.
+func (r *ingestRaster) rangePredict(ki, lo int, centers []geom.Vec3) ([]float64, error) {
+	if r.pk == nil {
+		return r.predict(centers, ki)
+	}
+	qs := make([][]float64, len(centers))
+	flat := make([]float64, 3*len(centers))
+	for i, c := range centers {
+		q := flat[3*i : 3*i+3]
+		q[0], q[1], q[2] = c.X, c.Y, c.Z
+		qs[i] = q
+	}
+	out := make([]float64, len(centers))
+	base := ki*r.stride + lo
+	if err := r.pk.PredictKeyInto(ki, qs, out, r.kth[base:base+len(centers)]); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// bootstrap rasterises version 1, filling every bound on the way.
+func (r *ingestRaster) bootstrap(vol geom.Cuboid, keys []string) (*rem.Map, error) {
+	if r.pk != nil {
+		r.kth = make([]float64, len(keys)*r.stride)
+	}
+	m, err := rem.BuildMapRange(vol, r.res[0], r.res[1], r.res[2], keys, r.rangePredict, r.opts)
+	if err != nil || r.pk == nil {
+		return m, err
+	}
+	r.centres = make([][]float64, r.stride)
+	for idx := range r.centres {
+		c := m.CellCenter(idx)
+		r.centres[idx] = []float64{c.X, c.Y, c.Z}
+	}
+	return m, nil
+}
+
+// next derives the generation after a batch of rows (x, y) for key ki
+// whose Observe dirtied dirty, and reports how many cells it predicted.
+// The masked path runs when the batch dirtied exactly its own key and
+// reach applies; anything else rebuilds every dirty key in full.
+func (r *ingestRaster) next(cur *rem.Map, ki int, x [][]float64, y []float64, dirty []int) (*rem.Map, int, error) {
+	r.masked = false
+	if len(dirty) == 1 && dirty[0] == ki {
+		if cells, ok := r.reach(ki, x, y); ok {
+			return r.predictCells(cur, ki, cells)
+		}
+	}
+	next, err := cur.RebuildKeysRange(dirty, r.rangePredict, r.opts)
+	return next, len(dirty) * r.stride, err
+}
+
+// reach returns key ki's cells some row of the batch can enter the
+// neighbour set of: SquaredDistance(centre, row) < R, strictly — equal
+// sums give equal distances, and the later row loses that tie. ok is
+// false when the bounds do not apply: not the per-MAC kNN, a non-finite
+// row, or a cell of the key without a finite R (a sub-regressor below k
+// rows, or the global fallback).
+func (r *ingestRaster) reach(ki int, x [][]float64, y []float64) (cells []int, ok bool) {
+	if r.pk == nil {
+		return nil, false
+	}
+	for i, row := range x {
+		if !finite(row[0]) || !finite(row[1]) || !finite(row[2]) || !finite(y[i]) {
+			return nil, false
+		}
+	}
+	kth := r.kth[ki*r.stride : (ki+1)*r.stride]
+	for _, R := range kth {
+		if !finite(R) {
+			return nil, false
+		}
+	}
+	// box is the batch's bounding box. Its squared gap to a centre is
+	// computed in SquaredDistance's operation order, and rounding is
+	// monotone, so it never exceeds any row's sum: a cell whose gap is
+	// already at its bound is out of every row's reach.
+	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+	for _, row := range x {
+		for i := range lo {
+			lo[i], hi[i] = math.Min(lo[i], row[i]), math.Max(hi[i], row[i])
+		}
+	}
+	cells = r.reached[:0]
+	for idx, c := range r.centres {
+		var gap float64
+		for i := range lo {
+			var d float64
+			if c[i] < lo[i] {
+				d = c[i] - lo[i]
+			} else if c[i] > hi[i] {
+				d = c[i] - hi[i]
+			}
+			gap += d * d
+		}
+		if gap >= kth[idx] {
+			continue
+		}
+		for _, row := range x {
+			if knn.SquaredDistance(c, row[:3]) < kth[idx] {
+				cells = append(cells, idx)
+				break
+			}
+		}
+	}
+	return cells, true
+}
+
+// predictCells re-predicts key ki at cells, writes them into the next
+// generation and refreshes their bounds.
+func (r *ingestRaster) predictCells(cur *rem.Map, ki int, cells []int) (*rem.Map, int, error) {
+	n := len(cells)
+	r.qs, r.vals, r.sq = r.qs[:0], grow(r.vals, n), grow(r.sq, n)
+	for _, idx := range cells {
+		r.qs = append(r.qs, r.centres[idx])
+	}
+	if err := r.pk.PredictKeyInto(ki, r.qs, r.vals, r.sq); err != nil {
+		return nil, 0, err
+	}
+	next, err := cur.WithCells(ki, cells, r.vals)
+	if err != nil {
+		return nil, 0, err
+	}
+	for i, idx := range cells {
+		r.kth[ki*r.stride+idx] = r.sq[i]
+	}
+	r.masked, r.reached = true, cells
+	return next, n, nil
+}
+
+// grow returns s resized to n, reallocating only when it is too small.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -22,6 +22,7 @@ type genObs struct {
 	gens    *remobs.Counter
 	rows    *remobs.Counter
 	dirty   *remobs.Counter
+	cells   *remobs.Counter
 }
 
 // newGenObs registers the generation metrics, or returns nil for a nil
@@ -47,6 +48,8 @@ func newGenObs(obs *remobs.Observer) *genObs {
 			"observation rows consumed across generations"),
 		dirty: reg.Counter("rem_gen_dirty_keys_total",
 			"keys dirtied across generations (every key on a bootstrap)"),
+		cells: reg.Counter("rem_gen_cells_predicted_total",
+			"(key, cell) predictions made across generations (every cell of every key on a bootstrap)"),
 	}
 }
 
@@ -68,9 +71,10 @@ func (o *genObs) markStages(observe, refit, rebuild time.Duration) {
 
 // markGeneration records one published generation: the end-to-end
 // histogram, the volume counters and a lifecycle event. kind is
-// "window" (stream) or "batch" (ingest); detail carries the per-loop
-// tail (window/seq numbering, replay flag).
-func (o *genObs) markGeneration(kind string, rows, dirtyKeys, sharedTiles int, total time.Duration, detail string) {
+// "window" (stream) or "batch" (ingest); cells is how many (key, cell)
+// predictions the rasterisation made; detail carries the per-loop tail
+// (window/seq numbering, replay flag).
+func (o *genObs) markGeneration(kind string, rows, dirtyKeys, cells, sharedTiles int, total time.Duration, detail string) {
 	if o == nil {
 		return
 	}
@@ -78,6 +82,7 @@ func (o *genObs) markGeneration(kind string, rows, dirtyKeys, sharedTiles int, t
 	o.gens.Inc()
 	o.rows.Add(uint64(rows))
 	o.dirty.Add(uint64(dirtyKeys))
-	o.obs.Event(kind, "%s rows=%d dirty_keys=%d shared_tiles=%d took=%s",
-		detail, rows, dirtyKeys, sharedTiles, total.Round(time.Microsecond))
+	o.cells.Add(uint64(cells))
+	o.obs.Event(kind, "%s rows=%d dirty_keys=%d cells=%d shared_tiles=%d took=%s",
+		detail, rows, dirtyKeys, cells, sharedTiles, total.Round(time.Microsecond))
 }

@@ -303,6 +303,7 @@ func RunStreamWithDataset(cfg StreamConfig, data *dataset.Dataset, report *missi
 			refitD = time.Since(t)
 		}
 		dirtyKeys := resolveDirty(dirty, nKeys, first)
+		cells := len(dirtyKeys) * cfg.REMResolution[0] * cfg.REMResolution[1] * cfg.REMResolution[2]
 		rep := WindowReport{
 			Window:    w,
 			NewRows:   end - start,
@@ -324,7 +325,7 @@ func RunStreamWithDataset(cfg StreamConfig, data *dataset.Dataset, report *missi
 			rep.Version = round.Seq
 			rep.Shards = round.AffectedShards
 			res.Windows = append(res.Windows, rep)
-			o.markGeneration("window", rep.NewRows, rep.DirtyKeys, rep.SharedTiles,
+			o.markGeneration("window", rep.NewRows, rep.DirtyKeys, cells, rep.SharedTiles,
 				time.Since(winStart), fmt.Sprintf("window=%d version=%d shards=%d", w, rep.Version, rep.Shards))
 			if cfg.OnShardWindow != nil {
 				cfg.OnShardWindow(rep, round)
@@ -345,7 +346,7 @@ func RunStreamWithDataset(cfg StreamConfig, data *dataset.Dataset, report *missi
 			rep.SharedTiles = shared
 			rep.Version = snap.Version()
 			res.Windows = append(res.Windows, rep)
-			o.markGeneration("window", rep.NewRows, rep.DirtyKeys, rep.SharedTiles,
+			o.markGeneration("window", rep.NewRows, rep.DirtyKeys, cells, rep.SharedTiles,
 				time.Since(winStart), fmt.Sprintf("window=%d version=%d", w, rep.Version))
 			if cfg.OnWindow != nil {
 				cfg.OnWindow(rep, snap)

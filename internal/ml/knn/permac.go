@@ -2,6 +2,7 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ml"
@@ -44,6 +45,7 @@ type PerKey struct {
 var (
 	_ ml.Estimator            = (*PerKey)(nil)
 	_ ml.Named                = (*PerKey)(nil)
+	_ ml.BatchPredictor       = (*PerKey)(nil)
 	_ ml.IncrementalEstimator = (*PerKey)(nil)
 )
 
@@ -172,15 +174,93 @@ func (p *PerKey) Predict(q []float64) (float64, error) {
 	if !p.fitted {
 		return 0, ml.ErrNotFitted
 	}
+	r, err := p.route(q)
+	if err != nil {
+		return 0, err
+	}
+	return r.Predict(q[:3])
+}
+
+// route picks the regressor that answers q: its hot key's sub-regressor,
+// or the global fallback for an unsurveyed key and for rows with no or
+// several hot keys.
+func (p *PerKey) route(q []float64) (*Regressor, error) {
 	if len(q) < p.KeyOffset {
-		return 0, fmt.Errorf("knn: query dim %d below key offset %d", len(q), p.KeyOffset)
+		return nil, fmt.Errorf("knn: query dim %d below key offset %d", len(q), p.KeyOffset)
 	}
-	xyz := q[:3]
-	key := hotIndex(q, p.KeyOffset)
+	return p.keyRegressor(hotIndex(q, p.KeyOffset)), nil
+}
+
+// keyRegressor is the regressor answering one-hot key (-1: none hot).
+func (p *PerKey) keyRegressor(key int) *Regressor {
 	if sub, ok := p.subs[key]; key >= 0 && ok {
-		return sub.Predict(xyz)
+		return sub
 	}
-	return p.global.Predict(xyz)
+	return p.global
+}
+
+// PredictBatch implements ml.BatchPredictor: each row is routed as
+// Predict routes it and answered with Predict's bits, through one
+// neighbour buffer for the whole batch.
+func (p *PerKey) PredictBatch(x [][]float64) ([]float64, error) {
+	if !p.fitted {
+		return nil, ml.ErrNotFitted
+	}
+	out := make([]float64, len(x))
+	nb := newNearest(p.Sub.K)
+	for i, q := range x {
+		r, err := p.route(q)
+		if err == nil {
+			nb.k = r.effectiveK()
+			out[i], err = r.predictInto(q[:3], nb)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("knn: predicting row %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// PredictKeyInto answers xyz queries under one-hot key: out[i] receives
+// the bits Predict returns for qs[i] with that key hot. kthSq[i]
+// receives the squared distance of the answer's k-th neighbour — the sum
+// SquaredDistance computes — which is the reach bound of the answer: a
+// row observed later for key changes out[i] only if its SquaredDistance
+// to qs[i] is strictly below kthSq[i]. It is +Inf where no such bound
+// holds: the global fallback answers the key, the key's regressor holds
+// fewer than K rows, or the metric is not Euclidean. One neighbour
+// buffer serves the whole call.
+func (p *PerKey) PredictKeyInto(key int, qs [][]float64, out, kthSq []float64) error {
+	if !p.fitted {
+		return ml.ErrNotFitted
+	}
+	if len(out) != len(qs) || len(kthSq) != len(qs) {
+		return fmt.Errorf("knn: %d queries but %d outputs and %d bounds", len(qs), len(out), len(kthSq))
+	}
+	r := p.keyRegressor(key)
+	bounded := r != p.global && r.cfg.MinkowskiP == 2 && len(r.x) >= r.cfg.K
+	nb := newNearest(r.effectiveK())
+	for i, q := range qs {
+		v, err := r.predictInto(q, nb)
+		if err != nil {
+			return fmt.Errorf("knn: predicting key %d query %d: %w", key, i, err)
+		}
+		out[i] = v
+		kthSq[i] = math.Inf(1)
+		if bounded {
+			kthSq[i] = nb.worstSq()
+		}
+	}
+	return nil
+}
+
+// SquaredDistance is the Euclidean neighbour ranking's own pre-sqrt sum
+// of squared differences between a and b, accumulated in the same
+// operation order, so it can be compared bit-for-bit with the bounds
+// PredictKeyInto reports.
+func SquaredDistance(a, b []float64) float64 {
+	_, sq := euclid(a, b)
+	return sq
 }
 
 // groupByKey routes rows into per-key xyz groups (the one-hot block used

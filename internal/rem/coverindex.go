@@ -316,48 +316,67 @@ func (m *Map) cellMaxIndexed(ci *coverIndex, idx int, best float64) float64 {
 	return best
 }
 
+// mendCoverTiles is mendCoverFrom given the flat tile indices whose cell
+// content changed (ascending): every cell of a changed tile counts as
+// changed.
+func (m *Map) mendCoverTiles(parent *Map, changed []int) {
+	var dirty []int
+	var cells []uint64
+	for _, t := range changed {
+		ki := t / m.tilesPerKey
+		if len(dirty) == 0 || dirty[len(dirty)-1] != ki {
+			dirty = append(dirty, ki)
+		}
+		if cells == nil {
+			cells = make([]uint64, (m.stride+63)/64)
+		}
+		lt := t % m.tilesPerKey
+		for idx, hi := lt*TileCells, lt*TileCells+m.tileLen(lt); idx < hi; idx++ {
+			cells[idx>>6] |= 1 << (idx & 63)
+		}
+	}
+	m.mendCoverFrom(parent, dirty, cells)
+}
+
 // mendCoverFrom carries parent's coverage index over to the derived map m
-// (same geometry and vocabulary), given the flat tile indices whose cell
-// content changed. No-op when the parent has no index. Cost scales with
-// the changed cells, not the vocabulary: per affected cube the dirty
-// keys' bounds are re-derived (8 reads each) and the candidate mask
-// re-filtered; untouched index tiles are shared by pointer with the
-// parent. The mended entries can be conservatively looser than a from-
-// scratch build (the amplitude A only grows on the cheap path), which
-// costs candidates, never correctness — rule 9 pins query results, not
-// index bytes.
-func (m *Map) mendCoverFrom(parent *Map, changed []int) {
+// (same geometry and vocabulary), given the keys whose cells changed
+// (ascending) and a bitset over cell indices holding every changed
+// cell. No-op when the parent has no index. Cost scales with the changed
+// cells, not the vocabulary: per affected cube the dirty keys' bounds
+// are re-derived (8 reads each) and the candidate mask re-filtered;
+// untouched index tiles are shared by pointer with the parent. The
+// mended entries can be conservatively looser than a from-scratch build
+// (the amplitude A only grows on the cheap path), which costs
+// candidates, never correctness — rule 9 pins query results, not index
+// bytes.
+func (m *Map) mendCoverFrom(parent *Map, dirty []int, cells []uint64) {
 	ci := parent.cover.Load()
 	if ci == nil {
 		return
 	}
-	if len(changed) == 0 {
+	if len(dirty) == 0 {
 		m.cover.Store(ci)
 		return
 	}
 	start := time.Now()
-	m.cover.Store(m.mendCover(ci, changed))
+	m.cover.Store(m.mendCover(ci, dirty, cells))
 	m.coverMendNs = time.Since(start).Nanoseconds()
 }
 
-func (m *Map) mendCover(ci *coverIndex, changed []int) *coverIndex {
+func (m *Map) mendCover(ci *coverIndex, dirty []int, cells []uint64) *coverIndex {
 	// Mark affected cubes: cell (ix, iy, iz) is a corner of the cubes with
 	// low-corner coords in {ix-1, ix} × {iy-1, iy} × {iz-1, iz}, clamped
 	// at zero (edge cubes re-read their boundary cells via clamping, which
 	// the {i-1, i} window already covers).
 	affected := make([]uint64, (m.stride+63)/64)
 	isDirty := make([]bool, len(m.keys))
-	var dirty []int // ascending: changed tile indices arrive ascending
-	for _, t := range changed {
-		ki := t / m.tilesPerKey
-		if !isDirty[ki] {
-			isDirty[ki] = true
-			dirty = append(dirty, ki)
-		}
-		lt := t % m.tilesPerKey
-		lo := lt * TileCells
-		hi := lo + m.tileLen(lt)
-		for idx := lo; idx < hi; idx++ {
+	for _, ki := range dirty {
+		isDirty[ki] = true
+	}
+	for w, bw := range cells {
+		for bw != 0 {
+			idx := w<<6 + bits.TrailingZeros64(bw)
+			bw &= bw - 1
 			ix := idx % m.nx
 			iy := (idx / m.nx) % m.ny
 			iz := idx / (m.nx * m.ny)

@@ -246,6 +246,6 @@ func ApplyDelta(base *Map, data []byte) (*Map, error) {
 	// The delta's tile index table says exactly which cells moved, so the
 	// coverage index is mended, not rebuilt: only cubes touching a changed
 	// cell are re-filtered, and untouched index tiles stay shared.
-	child.mendCoverFrom(base, changed)
+	child.mendCoverTiles(base, changed)
 	return child, nil
 }

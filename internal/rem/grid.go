@@ -33,6 +33,19 @@ type PredictFunc func(pos geom.Vec3, keyIndex int) (float64, error)
 // concurrent use.
 type BatchPredictFunc func(centers []geom.Vec3, keyIndex int) ([]float64, error)
 
+// RangePredictFunc is BatchPredictFunc told where its run lies:
+// centers[i] is the centre of flat cell lo+i of key keyIndex (CellCenter
+// of that index). Callers that keep per-cell state beside the map — the
+// ingest loop's neighbour bounds — address it through lo.
+type RangePredictFunc func(keyIndex, lo int, centers []geom.Vec3) ([]float64, error)
+
+// ranged lifts a BatchPredictFunc to the ranged contract.
+func (predict BatchPredictFunc) ranged() RangePredictFunc {
+	return func(keyIndex, _ int, centers []geom.Vec3) ([]float64, error) {
+		return predict(centers, keyIndex)
+	}
+}
+
 // BuildOptions tunes map construction.
 type BuildOptions struct {
 	// Workers bounds concurrent cell evaluation; ≤ 0 means GOMAXPROCS.
@@ -176,7 +189,7 @@ func BuildMapOpts(volume geom.Cuboid, nx, ny, nz int, keys []string, predict Pre
 	}
 	return buildMap(volume, nx, ny, nz, keys, opts, func(m *Map, ki, lo, hi int) error {
 		for idx := lo; idx < hi; idx++ {
-			p := m.cellCenter(idx%nx, (idx/nx)%ny, idx/(nx*ny))
+			p := m.CellCenter(idx)
 			v, err := predict(p, ki)
 			if err != nil {
 				return fmt.Errorf("rem: predicting %s at %v: %w", m.keys[ki], p, err)
@@ -194,18 +207,27 @@ func BuildMapBatch(volume geom.Cuboid, nx, ny, nz int, keys []string, predict Ba
 	if predict == nil {
 		return nil, fmt.Errorf("rem: map needs a predictor")
 	}
+	return BuildMapRange(volume, nx, ny, nz, keys, predict.ranged(), opts)
+}
+
+// BuildMapRange is BuildMapBatch over the ranged predictor contract: the
+// same runs, the same map, with each run's first cell index passed along.
+func BuildMapRange(volume geom.Cuboid, nx, ny, nz int, keys []string, predict RangePredictFunc, opts BuildOptions) (*Map, error) {
+	if predict == nil {
+		return nil, fmt.Errorf("rem: map needs a predictor")
+	}
 	return buildMap(volume, nx, ny, nz, keys, opts, batchFill(predict))
 }
 
-// batchFill adapts a batch predictor to the tile-at-a-time fill contract
-// shared by from-scratch builds and incremental rebuilds.
-func batchFill(predict BatchPredictFunc) func(m *Map, ki, lo, hi int) error {
+// batchFill adapts a ranged predictor to the tile-at-a-time fill
+// contract shared by from-scratch builds and incremental rebuilds.
+func batchFill(predict RangePredictFunc) func(m *Map, ki, lo, hi int) error {
 	return func(m *Map, ki, lo, hi int) error {
 		centers := make([]geom.Vec3, hi-lo)
 		for idx := lo; idx < hi; idx++ {
-			centers[idx-lo] = m.cellCenter(idx%m.nx, (idx/m.nx)%m.ny, idx/(m.nx*m.ny))
+			centers[idx-lo] = m.CellCenter(idx)
 		}
-		vals, err := predict(centers, ki)
+		vals, err := predict(ki, lo, centers)
 		if err != nil {
 			return fmt.Errorf("rem: predicting %s over %d cells: %w", m.keys[ki], len(centers), err)
 		}
@@ -259,6 +281,12 @@ func (m *Map) Keys() []string { return m.keys }
 
 // Resolution returns the grid dimensions.
 func (m *Map) Resolution() (nx, ny, nz int) { return m.nx, m.ny, m.nz }
+
+// CellCenter returns the centre of the cell at flat index idx (x fastest,
+// then y, then z) — the position every rasteriser predicts that cell at.
+func (m *Map) CellCenter(idx int) geom.Vec3 {
+	return m.cellCenter(idx%m.nx, (idx/m.nx)%m.ny, idx/(m.nx*m.ny))
+}
 
 // cellCenter returns the centre of cell (ix, iy, iz).
 func (m *Map) cellCenter(ix, iy, iz int) geom.Vec3 {

@@ -42,6 +42,14 @@ func (m *Map) RebuildKeys(dirty []int, predict BatchPredictFunc, opts BuildOptio
 	if predict == nil {
 		return nil, fmt.Errorf("rem: rebuild needs a predictor")
 	}
+	return m.RebuildKeysRange(dirty, predict.ranged(), opts)
+}
+
+// RebuildKeysRange is RebuildKeys over the ranged predictor contract.
+func (m *Map) RebuildKeysRange(dirty []int, predict RangePredictFunc, opts BuildOptions) (*Map, error) {
+	if predict == nil {
+		return nil, fmt.Errorf("rem: rebuild needs a predictor")
+	}
 	seen := make(map[int]bool, len(dirty))
 	ks := make([]int, 0, len(dirty))
 	for _, k := range dirty {
@@ -62,15 +70,7 @@ func (m *Map) RebuildKeys(dirty []int, predict BatchPredictFunc, opts BuildOptio
 	}
 	sort.Ints(ks)
 
-	child := &Map{
-		volume: m.volume,
-		nx:     m.nx, ny: m.ny, nz: m.nz,
-		stride:      m.stride,
-		tilesPerKey: m.tilesPerKey,
-		keys:        m.keys, // immutable after build; shared across generations
-		tiles:       append([][]float64(nil), m.tiles...),
-		version:     m.version + 1,
-	}
+	child := m.derive()
 	for _, k := range ks {
 		child.allocKey(k)
 	}
@@ -105,7 +105,64 @@ func (m *Map) RebuildKeys(dirty []int, predict BatchPredictFunc, opts BuildOptio
 			// Unreachable: the child shares m's geometry by construction.
 			return nil, err
 		}
-		child.mendCoverFrom(m, changed)
+		child.mendCoverTiles(m, changed)
+	}
+	return child, nil
+}
+
+// derive returns the next generation's shell: m's geometry and
+// vocabulary, every tile shared with m, version m.Version()+1.
+func (m *Map) derive() *Map {
+	return &Map{
+		volume: m.volume,
+		nx:     m.nx, ny: m.ny, nz: m.nz,
+		stride:      m.stride,
+		tilesPerKey: m.tilesPerKey,
+		keys:        m.keys, // immutable after build; shared across generations
+		tiles:       append([][]float64(nil), m.tiles...),
+		version:     m.version + 1,
+	}
+}
+
+// WithCells derives a new Map in which key ki's cell cells[i] holds
+// vals[i] and everything else is shared with m: the cell-masked
+// counterpart of RebuildKeys, for callers that know which cells a change
+// can reach. Only tiles in which some cell's bits change are cloned, so
+// a write that reproduces every value shares every tile, and the
+// coverage index is mended around the changed cells alone. The receiver
+// is not modified; the derived map's version is m.Version()+1.
+func (m *Map) WithCells(ki int, cells []int, vals []float64) (*Map, error) {
+	if ki < 0 || ki >= len(m.keys) {
+		return nil, fmt.Errorf("rem: key %d outside [0, %d)", ki, len(m.keys))
+	}
+	if len(vals) != len(cells) {
+		return nil, fmt.Errorf("rem: %d cells but %d values", len(cells), len(vals))
+	}
+	child := m.derive()
+	var changed []uint64 // bitset over one key's cells, allocated on the first change
+	for i, idx := range cells {
+		if idx < 0 || idx >= m.stride {
+			return nil, fmt.Errorf("rem: cell %d outside [0, %d)", idx, m.stride)
+		}
+		t := ki*m.tilesPerKey + idx>>tileShift
+		if math.Float64bits(child.tiles[t][idx&tileMask]) == math.Float64bits(vals[i]) {
+			continue
+		}
+		if &child.tiles[t][0] == &m.tiles[t][0] {
+			child.tiles[t] = append([]float64(nil), m.tiles[t]...)
+		}
+		child.tiles[t][idx&tileMask] = vals[i]
+		if changed == nil {
+			changed = make([]uint64, (m.stride+63)/64)
+		}
+		changed[idx>>6] |= 1 << (idx & 63)
+	}
+	if m.cover.Load() != nil {
+		var dirty []int
+		if changed != nil {
+			dirty = []int{ki}
+		}
+		child.mendCoverFrom(m, dirty, changed)
 	}
 	return child, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rem"
-	"repro/internal/remserve"
 	"repro/internal/remstore"
 )
 
@@ -144,32 +143,10 @@ func (f *Follower) handleHealthz(w http.ResponseWriter) {
 	w.Write(append(body, '\n'))
 }
 
-// Serve accepts connections on l until Shutdown, with the same hardened
-// connection bounds as the leader front.
-func (f *Follower) Serve(l net.Listener) error {
-	hs := &http.Server{
-		Handler:           f,
-		ReadHeaderTimeout: remserve.DefaultReadHeaderTimeout,
-		ReadTimeout:       remserve.DefaultReadTimeout,
-		IdleTimeout:       remserve.DefaultIdleTimeout,
-	}
-	f.srvMu.Lock()
-	f.hs = hs
-	f.srvMu.Unlock()
-	err := hs.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
+// Serve accepts connections on l until Shutdown, on the same front as
+// the leader.
+func (f *Follower) Serve(l net.Listener) error { return f.front.Serve(l, f) }
 
-// Shutdown stops accepting connections and drains in-flight requests.
-func (f *Follower) Shutdown(ctx context.Context) error {
-	f.srvMu.Lock()
-	hs := f.hs
-	f.srvMu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}
+// Shutdown closes connections that never sent a request, stops
+// accepting and drains in-flight requests.
+func (f *Follower) Shutdown(ctx context.Context) error { return f.front.Shutdown(ctx) }

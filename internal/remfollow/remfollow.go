@@ -180,8 +180,7 @@ type Follower struct {
 	stats     SyncStats
 
 	// Listener lifecycle (Serve/Shutdown).
-	srvMu sync.Mutex
-	hs    *http.Server
+	front remserve.Front
 }
 
 // New builds a follower over cfg. The local store is created here and

@@ -488,3 +488,48 @@ func TestConfigRejectsWiringTheNodeOwns(t *testing.T) {
 		}
 	}
 }
+
+// A client that dials and never sends a request does not stall
+// shutdown: for every role, Shutdown with one such connection open
+// returns nil well inside a second, not at the 5 s mark where net/http
+// would first call the connection idle.
+func TestSilentConnectionDoesNotStallShutdown(t *testing.T) {
+	leader := start(t, ingester(""))
+	waitFor(t, leader.base+"/healthz", "serving")
+	defer leader.stop(t)
+	roles := map[string]func() Config{
+		"stream": func() Config {
+			return Config{Addr: "127.0.0.1:0", Stream: &core.StreamConfig{Config: smallConfig(), WindowRows: 30}, Dataset: survey()}
+		},
+		"ingest": func() Config { return ingester(t.TempDir()) },
+		"follow": func() Config {
+			return Config{Addr: "127.0.0.1:0", Follow: &remfollow.Config{Leader: leader.base, Poll: 10 * time.Millisecond}}
+		},
+	}
+	for _, role := range []string{"stream", "ingest", "follow"} {
+		t.Run(role, func(t *testing.T) {
+			r := start(t, roles[role]())
+			waitFor(t, r.base+"/healthz", "version")
+			silent, err := net.Dial("tcp", r.Node.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer silent.Close()
+			// A request on a later connection is served only after the
+			// silent one was accepted.
+			waitFor(t, r.base+"/healthz", "version")
+			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+			defer cancel()
+			t0 := time.Now()
+			if err := r.Shutdown(ctx); err != nil {
+				t.Fatalf("Shutdown with a silent connection open: %v", err)
+			}
+			if d := time.Since(t0); d > 500*time.Millisecond {
+				t.Fatalf("Shutdown took %v with a silent connection open", d)
+			}
+			if err := r.stop(t); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

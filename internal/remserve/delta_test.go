@@ -177,11 +177,15 @@ func TestDeltaEndpointEmpty(t *testing.T) {
 	}
 }
 
-// TestServerTimeouts pins the http.Server wiring: the listener runs
-// with the hardened default bounds.
+// TestServerTimeouts pins the http.Server wiring both fronts share: the
+// listener runs with the hardened default bounds and tracks connection
+// states.
 func TestServerTimeouts(t *testing.T) {
-	hs := NewStore(remstore.New(0), Options{}).httpServer()
+	hs := new(Front).httpServer(NewStore(remstore.New(0), Options{}))
 	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout || hs.ReadTimeout != DefaultReadTimeout || hs.IdleTimeout != DefaultIdleTimeout {
 		t.Fatalf("default timeouts = %v/%v/%v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.ConnState == nil {
+		t.Fatal("no connection-state tracking")
 	}
 }

@@ -95,8 +95,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeError maps a queue rejection to its status: 404 outside the
-// vocabulary, 429 + Retry-After at capacity, 503 once the loop is
-// down, 500 for a WAL fault, 400 for any other validation failure.
+// vocabulary, 429 + Retry-After at capacity, 503 once the loop or a
+// failed WAL is down, 500 for the WAL fault itself, 400 for any other
+// validation failure.
 func observeError(w http.ResponseWriter, err error) {
 	var full *remwal.FullError
 	switch {
@@ -105,6 +106,8 @@ func observeError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, remwal.ErrClosed):
 		http.Error(w, "remserve: ingest pipeline is down", http.StatusServiceUnavailable)
+	case errors.Is(err, remwal.ErrLogFailed):
+		http.Error(w, "remserve: write-ahead log failed; ingest is down", http.StatusServiceUnavailable)
 	case errors.Is(err, rem.ErrUnknownKey):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, remwal.ErrAppend):

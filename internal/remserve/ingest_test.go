@@ -3,6 +3,8 @@ package remserve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -232,5 +234,23 @@ func TestObservePointCap(t *testing.T) {
 	resp = postObserve(t, srv.URL, WireContentType, "", wire)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("wire status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestObserveErrorStatus pins the WAL statuses: the write that fails is
+// a 500, and every batch refused by the fail-stopped log after it a 503.
+func TestObserveErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("%w: %w", remwal.ErrAppend, errors.New("write: input/output error")), http.StatusInternalServerError},
+		{fmt.Errorf("%w: %w", remwal.ErrAppend, fmt.Errorf("%w: fsync", remwal.ErrLogFailed)), http.StatusServiceUnavailable},
+	} {
+		rec := httptest.NewRecorder()
+		observeError(rec, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("%v: status %d, want %d", tc.err, rec.Code, tc.want)
+		}
 	}
 }

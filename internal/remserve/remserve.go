@@ -40,10 +40,8 @@ package remserve
 import (
 	"context"
 	"net"
-	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -291,8 +289,7 @@ type Server struct {
 	obs     *remobs.Observer
 	metrics *serveMetrics
 
-	mu sync.Mutex
-	hs *http.Server
+	front Front
 }
 
 // New builds a server over any backend.
@@ -328,39 +325,11 @@ func NewSharded(ss *remshard.ShardedStore, opts Options) *Server {
 	return New(ShardedBackend(ss), opts)
 }
 
-// httpServer assembles the hardened net/http server Serve runs: the
-// handler plus the package's connection-lifecycle bounds.
-func (s *Server) httpServer() *http.Server {
-	return &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: DefaultReadHeaderTimeout,
-		ReadTimeout:       DefaultReadTimeout,
-		IdleTimeout:       DefaultIdleTimeout,
-	}
-}
-
 // Serve accepts connections on l until Shutdown; a clean shutdown
 // returns nil.
-func (s *Server) Serve(l net.Listener) error {
-	hs := s.httpServer()
-	s.mu.Lock()
-	s.hs = hs
-	s.mu.Unlock()
-	err := hs.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
+func (s *Server) Serve(l net.Listener) error { return s.front.Serve(l, s) }
 
-// Shutdown stops accepting new connections and drains in-flight
-// requests, waiting up to ctx. A server that never served is a no-op.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	hs := s.hs
-	s.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}
+// Shutdown closes connections that never sent a request, stops
+// accepting new ones and drains in-flight requests, waiting up to ctx. A
+// server that never served is a no-op.
+func (s *Server) Shutdown(ctx context.Context) error { return s.front.Shutdown(ctx) }

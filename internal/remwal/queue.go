@@ -127,7 +127,7 @@ func (q *Queue) Submit(b Batch) (uint64, error) {
 		q.enc = AppendBatch(q.enc[:0], b)
 		var err error
 		if seq, err = q.log.Append(q.enc); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrAppend, err)
+			return 0, fmt.Errorf("%w: %w", ErrAppend, err)
 		}
 	}
 	// Cannot block: every sender holds q.mu and the length was checked

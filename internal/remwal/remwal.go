@@ -108,6 +108,14 @@ type Record struct {
 // ErrLogClosed is returned by Append and Sync after Close.
 var ErrLogClosed = errors.New("remwal: log closed")
 
+// ErrLogFailed is wrapped by every Append and Sync after a write, fsync
+// or rotation of the log has failed. The log is fail-stop: after such an
+// error the active segment may end in a torn frame, and a record
+// appended behind it would be dropped by replay together with every
+// later one, so the log refuses further writes (and retries no fsync)
+// instead of acknowledging batches it cannot replay.
+var ErrLogFailed = errors.New("remwal: log failed")
+
 // segment is one on-disk file of the log.
 type segment struct {
 	path     string
@@ -128,6 +136,7 @@ type Log struct {
 	segs    []segment // in sequence order; last is active
 	scratch []byte    // frame assembly buffer, reused across appends
 	closed  bool
+	failed  error // the first write, fsync or rotation error; sticky
 	// o is the attached instrument set (observe.go); nil means
 	// uninstrumented. Written under mu by SetObserver, read under mu on
 	// the append path.
@@ -358,8 +367,8 @@ func syncDir(dir string) error {
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrLogClosed
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
 	if len(payload) > maxRecordLen {
 		return 0, fmt.Errorf("remwal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordLen)
@@ -367,7 +376,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	rec := int64(recHeaderLen + len(payload))
 	if l.size > segHeaderLen && l.size+rec > l.segBytes {
 		if err := l.rotateLocked(); err != nil {
-			return 0, err
+			return 0, l.failLocked(err)
 		}
 	}
 	var start time.Time
@@ -379,7 +388,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.scratch = rem.AppendU32(l.scratch, crc32.ChecksumIEEE(payload))
 	l.scratch = append(l.scratch, payload...)
 	if _, err := l.f.Write(l.scratch); err != nil {
-		return 0, err
+		return 0, l.failLocked(err)
 	}
 	l.size += rec
 	var fsyncD time.Duration
@@ -389,7 +398,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			t0 = time.Now()
 		}
 		if err := l.f.Sync(); err != nil {
-			return 0, err
+			return 0, l.failLocked(err)
 		}
 		if l.o != nil {
 			fsyncD = time.Since(t0)
@@ -401,6 +410,25 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		l.observeAppend(seq, time.Since(start), fsyncD)
 	}
 	return seq, nil
+}
+
+// usableLocked is the error a write must return before touching the
+// file: the log is closed, or failed earlier.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return ErrLogClosed
+	}
+	if l.failed != nil {
+		return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
+	}
+	return nil
+}
+
+// failLocked makes err sticky and returns it: no later Append or Sync
+// touches the file.
+func (l *Log) failLocked(err error) error {
+	l.failed = err
+	return err
 }
 
 // rotateLocked seals the active segment and starts the next one.
@@ -420,15 +448,19 @@ func (l *Log) rotateLocked() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrLogClosed
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
-	return l.f.Sync()
+	if err := l.f.Sync(); err != nil {
+		return l.failLocked(err)
+	}
+	return nil
 }
 
 // Close fsyncs and closes the active segment; the tail record is
 // intact on the next Open regardless of the sync policy. Further
-// appends fail with ErrLogClosed.
+// appends fail with ErrLogClosed. A failed log is closed without
+// another fsync, and Close reports the failure.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -436,6 +468,12 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	if l.failed != nil {
+		if l.f != nil {
+			l.f.Close()
+		}
+		return fmt.Errorf("%w: %w", ErrLogFailed, l.failed)
+	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return err

@@ -367,3 +367,72 @@ func TestSyncNoneLosesOnlyUnsyncedTail(t *testing.T) {
 		t.Fatalf("fsync-lag crash: replayed %d records, want the synced prefix", len(recs))
 	}
 }
+
+// TestLogFailStopAfterWriteError pins the fail-stop contract: once a
+// write fails, the failing Append errors, every later Append and Sync
+// fails fast with ErrLogFailed without touching the file (even once the
+// file would accept writes again), and a re-Open replays exactly the
+// acknowledged records.
+func TestLogFailStopAfterWriteError(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := appendBatches(t, l, []Batch{testBatch("aa:00", 2), testBatch("bb:11", 3)})
+	closed, err := os.Open(segPath(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	active := l.f
+	l.f = closed // the next write fails as a dead disk would
+	if _, err := l.Append(AppendBatch(nil, testBatch("cc:22", 1))); err == nil {
+		t.Fatal("append to a closed segment succeeded")
+	}
+	l.f = active // a file that would accept the write again
+	if _, err := l.Append(AppendBatch(nil, testBatch("dd:33", 1))); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("append after a failed write: %v, want ErrLogFailed", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("sync after a failed write: %v, want ErrLogFailed", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("close of a failed log: %v, want ErrLogFailed", err)
+	}
+	l2, recs, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != len(acked) {
+		t.Fatalf("replayed %d records, want the %d acknowledged", len(recs), len(acked))
+	}
+	for i, r := range recs {
+		if !bytes.Equal(r.Payload, acked[i]) {
+			t.Fatalf("record %d differs from its acknowledged payload", i)
+		}
+	}
+}
+
+// TestQueueSurfacesLogFailure checks Submit keeps the fail-stop cause
+// visible beside ErrAppend, so the serving edge can answer 503.
+func TestQueueSurfacesLogFailure(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(QueueConfig{Capacity: 4, Log: l})
+	defer q.Close()
+	active := l.f
+	active.Close()
+	if _, err := q.Submit(testBatch("aa:00", 1)); !errors.Is(err, ErrAppend) {
+		t.Fatalf("submit over a dead segment: %v, want ErrAppend", err)
+	}
+	_, err = q.Submit(testBatch("aa:00", 1))
+	if !errors.Is(err, ErrAppend) || !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("submit after the failure: %v, want ErrAppend and ErrLogFailed", err)
+	}
+	l.Close()
+}
