@@ -778,58 +778,6 @@ func BenchmarkShardedRebuild4(b *testing.B) { benchmarkShardedRebuild(b, 4) }
 func BenchmarkShardedRebuild8(b *testing.B) { benchmarkShardedRebuild(b, 8) }
 
 // ---------------------------------------------------------------------------
-// Insert-log merge-threshold frontier (ROADMAP "insert-log tuning"): an
-// interleaved observe/query stream against the shared-feature-space kNN,
-// swept across thresholds. Small thresholds keep the per-query linear
-// log scan short but rebuild subtrees often; large ones amortise
-// rebuilds but tax every query. t=0 is the derived ≈√n default.
-
-func benchmarkKNNMergeFrontier(b *testing.B, threshold int) {
-	cfg := knn.PaperScaledConfig()
-	cfg.MergeThreshold = threshold
-	// 2500 synthetic rows: the first 2000 are the initial fit, the rest
-	// stream in 8-row batches.
-	x, y := benchTrainingSet(40)
-	const fitRows = 2000
-	queries := make([][]float64, 32)
-	rng := simrand.New(77)
-	for i := range queries {
-		q := make([]float64, 3+40)
-		q[0], q[1], q[2] = rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6)
-		q[3+rng.Intn(40)] = 3
-		queries[i] = q
-	}
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		b.StopTimer()
-		r, err := knn.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Fit(x[:fitRows], y[:fitRows]); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		// 62 cycles of: observe 8 rows, answer 32 queries.
-		for lo := fitRows; lo+8 <= len(x); lo += 8 {
-			if _, err := r.Observe(x[lo:lo+8], y[lo:lo+8]); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.PredictBatch(queries); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkKNNMergeFrontierAuto is the derived ≈√n threshold (the new
-// default when Config.MergeThreshold is unset).
-func BenchmarkKNNMergeFrontierAuto(b *testing.B) { benchmarkKNNMergeFrontier(b, 0) }
-func BenchmarkKNNMergeFrontier16(b *testing.B)   { benchmarkKNNMergeFrontier(b, 16) }
-func BenchmarkKNNMergeFrontier128(b *testing.B)  { benchmarkKNNMergeFrontier(b, 128) }
-func BenchmarkKNNMergeFrontier512(b *testing.B)  { benchmarkKNNMergeFrontier(b, 512) }
-
-// ---------------------------------------------------------------------------
 // Estimator ingest cost (BENCH_rem.json "knn_ingest"): one KD-tree build,
 // and the per-MAC kNN absorbing a live-ingest history batch by batch. The
 // per-batch cost should follow the batch, not the rows already ingested.
@@ -911,8 +859,16 @@ func BenchmarkPerKeyIngest200(b *testing.B) {
 // readings — the shape of rembench's recover workload. One op is
 // bootstrap plus the 200 batches; ms/batch is the mean time between
 // consecutive batch publishes (the replay rate, bootstrap excluded).
-func BenchmarkIngestReplay200(b *testing.B) {
-	const nKeys, waypoints, batches, batchRows, step = 44, 72, 200, 64, 0.1
+func BenchmarkIngestReplay200(b *testing.B) { benchmarkIngestReplay(b, 200) }
+
+// BenchmarkIngestReplay2000 is the same generator run ten times longer:
+// its first 200 batches are BenchmarkIngestReplay200's. A loop whose
+// per-batch work follows the batch, not the history, reports the same
+// ms/batch at both lengths.
+func BenchmarkIngestReplay2000(b *testing.B) { benchmarkIngestReplay(b, 2000) }
+
+func benchmarkIngestReplay(b *testing.B, batches int) {
+	const nKeys, waypoints, batchRows, step = 44, 72, 64, 0.1
 	rng := simrand.New(2027)
 	vol := geom.PaperScanVolume()
 	pos := func() geom.Vec3 {
@@ -962,7 +918,7 @@ func BenchmarkIngestReplay200(b *testing.B) {
 		if _, err := core.RunIngestWithDataset(cfg, data, nil); !errors.Is(err, remwal.ErrClosed) {
 			b.Fatalf("ingest ended with %v, want queue closure", err)
 		}
-		perBatch += last.Sub(first) / (batches - 1)
+		perBatch += last.Sub(first) / time.Duration(batches-1)
 	}
 	b.ReportMetric(float64(perBatch.Microseconds())/1e3/float64(b.N), "ms/batch")
 }

@@ -22,8 +22,8 @@ import (
 // windowing a pre-recorded dataset, RunIngest bootstraps the estimator
 // on the mission's survey and then consumes live observation batches
 // from a remwal.Queue — each popped batch is one window (Observe →
-// Refit → re-predict the cells it can reach, or RebuildKeys → Publish;
-// see ingestRaster), so the serving store advances one version per
+// update the cells it can reach, or Refit → RebuildKeys → Publish; see
+// ingestRaster), so the serving store advances one version per
 // accepted batch and queries never block on a rebuild.
 //
 // Durability rides on the queue's write-ahead log: a batch is
@@ -243,18 +243,14 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 			return fmt.Errorf("core: observing batch %d: %w", seq, err)
 		}
 		observeD := time.Since(t)
-		t = time.Now()
-		if err := inc.Refit(); err != nil {
-			return fmt.Errorf("core: refitting after batch %d: %w", seq, err)
-		}
-		refitD := time.Since(t)
 		dirtyKeys := resolveDirty(dirty, nKeys, false)
 		t = time.Now()
 		next, cells, err := ras.next(cur, ki, x, y, dirtyKeys)
 		if err != nil {
-			return fmt.Errorf("core: rasterising batch %d: %w", seq, err)
+			return fmt.Errorf("core: batch %d: %w", seq, err)
 		}
-		rebuildD := time.Since(t)
+		refitD := ras.refitTook
+		rebuildD := time.Since(t) - refitD
 		snap, err := res.Store.Publish(next, len(dirtyKeys))
 		if err != nil {
 			return err
@@ -307,45 +303,58 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 }
 
 // ingestRaster derives the ingest loop's generations. For the per-MAC
-// kNN it keeps, per (key, cell), R: the squared distance of the cell's
-// k-th neighbour under that key's sub-regressor. A row observed later
-// for the key enters a cell's neighbour set only if its squared distance
-// to the centre is strictly below R — it has a higher training index
-// than every row already there, so it loses every distance tie — and
-// the cell's value depends on nothing else. A batch then re-predicts
-// only the cells its rows reach, and the snapshot is the one a full-key
+// kNN it keeps, per (key, cell), the cell's k neighbours under that
+// key's sub-regressor — as positions among the key's rows, knn.PerKey's
+// neighbour sets — and R, the k-th neighbour's squared distance. A row
+// observed later for the key enters a cell's set only if its squared
+// distance to the centre is strictly below R — it has a higher training
+// index than every row already there, so it loses every distance tie —
+// and the cell's value depends on nothing else. So a single-key batch
+// touches only the cells its rows reach, and each of those takes the
+// top k of its old set plus the batch (knn.PerKey.ExtendKeyInto); no
+// kd-tree is queried or rebuilt. The snapshot is the one a full-key
 // rebuild would publish (rule 7; DESIGN.md).
 //
-// The bounds are derived state: the bootstrap raster fills them from its
-// own predictions, every re-predicted cell and every full-key rebuild
-// refreshes them, and nothing serialises them — a restart rebuilds them
-// the same way. They belong to the loop goroutine (the pool workers of a
-// full-key rebuild write disjoint ranges).
+// Every other batch takes the full-key path: Refit first, which folds
+// the insert logs the masked batches left into the kd-trees, then
+// RebuildKeysRange over the dirty keys.
+//
+// The sets and bounds are derived state: the bootstrap raster fills them
+// from its own predictions, every extended cell and every full-key
+// rebuild refreshes them, and nothing serialises them — a restart
+// rebuilds them the same way. They belong to the loop goroutine (the
+// pool workers of a full-key rebuild write disjoint ranges).
 type ingestRaster struct {
 	predict rem.BatchPredictFunc // every estimator's full-key path
+	refit   func() error         // folds observed rows in before a full-key rebuild
 	opts    rem.BuildOptions
 	res     [3]int
 	stride  int // cells per key
-	// pk is the per-MAC kNN the bounds describe; nil keeps every batch
-	// on the full-key path.
+	// pk is the per-MAC kNN the sets describe; nil keeps every batch on
+	// the full-key path.
 	pk      *knn.PerKey
+	k       int         // neighbours per set (pk.Sub.K)
 	kth     []float64   // kth[ki*stride+idx] = R of cell idx under key ki
+	sets    []int32     // sets[(ki*stride+idx)*k:][:k] = that cell's neighbours
 	centres [][]float64 // cell centres (rem.Map.CellCenter) as query rows
-	// masked reports whether the last derivation took the masked path,
-	// and reached the cells it re-predicted (scratch reused across
-	// batches).
-	masked  bool
-	reached []int
-	vals    []float64
-	sq      []float64
-	qs      [][]float64
+	// refitTook is the last derivation's Refit time (zero on the masked
+	// path). masked reports whether it took the masked path, and reached
+	// the cells it re-predicted (scratch reused across batches).
+	refitTook time.Duration
+	masked    bool
+	reached   []int
+	vals      []float64
+	sq        []float64
+	qs        [][]float64
+	set       []int32
 }
 
 // newIngestRaster prepares the derivation for est under the pipeline's
 // feature encoding (see BatchPredictorFor).
-func newIngestRaster(est ml.Estimator, dim int, scale float64, res [3]int, opts rem.BuildOptions) *ingestRaster {
+func newIngestRaster(est ml.IncrementalEstimator, dim int, scale float64, res [3]int, opts rem.BuildOptions) *ingestRaster {
 	r := &ingestRaster{
 		predict: BatchPredictorFor(est, dim, scale),
+		refit:   est.Refit,
 		opts:    opts,
 		res:     res,
 		stride:  res[0] * res[1] * res[2],
@@ -353,13 +362,14 @@ func newIngestRaster(est ml.Estimator, dim int, scale float64, res [3]int, opts 
 	// The masked path needs queries that route by key: a one-hot block
 	// right after xyz, which is how the rows are encoded below.
 	if pk, ok := est.(*knn.PerKey); ok && pk.KeyOffset == 3 && scale != 0 {
-		r.pk = pk
+		r.pk, r.k = pk, pk.Sub.K
 	}
 	return r
 }
 
 // rangePredict is the full-key predictor. For the per-MAC kNN it answers
-// through PredictKeyInto — Predict's bits — and records each cell's bound.
+// through PredictKeyInto — Predict's bits — and records each cell's set
+// and bound.
 func (r *ingestRaster) rangePredict(ki, lo int, centers []geom.Vec3) ([]float64, error) {
 	if r.pk == nil {
 		return r.predict(centers, ki)
@@ -373,16 +383,18 @@ func (r *ingestRaster) rangePredict(ki, lo int, centers []geom.Vec3) ([]float64,
 	}
 	out := make([]float64, len(centers))
 	base := ki*r.stride + lo
-	if err := r.pk.PredictKeyInto(ki, qs, out, r.kth[base:base+len(centers)]); err != nil {
+	sets := r.sets[base*r.k : (base+len(centers))*r.k]
+	if err := r.pk.PredictKeyInto(ki, qs, out, r.kth[base:base+len(centers)], sets); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// bootstrap rasterises version 1, filling every bound on the way.
+// bootstrap rasterises version 1, filling every set and bound on the way.
 func (r *ingestRaster) bootstrap(vol geom.Cuboid, keys []string) (*rem.Map, error) {
 	if r.pk != nil {
 		r.kth = make([]float64, len(keys)*r.stride)
+		r.sets = make([]int32, len(keys)*r.stride*r.k)
 	}
 	m, err := rem.BuildMapRange(vol, r.res[0], r.res[1], r.res[2], keys, r.rangePredict, r.opts)
 	if err != nil || r.pk == nil {
@@ -399,16 +411,25 @@ func (r *ingestRaster) bootstrap(vol geom.Cuboid, keys []string) (*rem.Map, erro
 // next derives the generation after a batch of rows (x, y) for key ki
 // whose Observe dirtied dirty, and reports how many cells it predicted.
 // The masked path runs when the batch dirtied exactly its own key and
-// reach applies; anything else rebuilds every dirty key in full.
+// reach applies; anything else refits and rebuilds every dirty key in
+// full.
 func (r *ingestRaster) next(cur *rem.Map, ki int, x [][]float64, y []float64, dirty []int) (*rem.Map, int, error) {
-	r.masked = false
+	r.masked, r.refitTook = false, 0
 	if len(dirty) == 1 && dirty[0] == ki {
 		if cells, ok := r.reach(ki, x, y); ok {
-			return r.predictCells(cur, ki, cells)
+			return r.extendCells(cur, ki, len(x), cells)
 		}
 	}
+	t := time.Now()
+	if err := r.refit(); err != nil {
+		return nil, 0, fmt.Errorf("refitting: %w", err)
+	}
+	r.refitTook = time.Since(t)
 	next, err := cur.RebuildKeysRange(dirty, r.rangePredict, r.opts)
-	return next, len(dirty) * r.stride, err
+	if err != nil {
+		return nil, 0, fmt.Errorf("rasterising: %w", err)
+	}
+	return next, len(dirty) * r.stride, nil
 }
 
 // reach returns key ki's cells some row of the batch can enter the
@@ -468,26 +489,35 @@ func (r *ingestRaster) reach(ki int, x [][]float64, y []float64) (cells []int, o
 	return cells, true
 }
 
-// predictCells re-predicts key ki at cells, writes them into the next
-// generation and refreshes their bounds.
-func (r *ingestRaster) predictCells(cur *rem.Map, ki int, cells []int) (*rem.Map, int, error) {
-	n := len(cells)
-	r.qs, r.vals, r.sq = r.qs[:0], grow(r.vals, n), grow(r.sq, n)
-	for _, idx := range cells {
-		r.qs = append(r.qs, r.centres[idx])
+// extendCells advances key ki's sets at cells by the batch's n rows,
+// writes the new values into the next generation and refreshes the
+// cells' bounds.
+func (r *ingestRaster) extendCells(cur *rem.Map, ki, n int, cells []int) (*rem.Map, int, error) {
+	m, k := len(cells), r.k
+	r.qs, r.vals, r.sq = r.qs[:0], grow(r.vals, m), grow(r.sq, m)
+	if cap(r.set) < m*k {
+		r.set = make([]int32, m*k)
 	}
-	if err := r.pk.PredictKeyInto(ki, r.qs, r.vals, r.sq); err != nil {
-		return nil, 0, err
+	r.set = r.set[:m*k]
+	for i, idx := range cells {
+		r.qs = append(r.qs, r.centres[idx])
+		base := (ki*r.stride + idx) * k
+		copy(r.set[i*k:(i+1)*k], r.sets[base:base+k])
+	}
+	if err := r.pk.ExtendKeyInto(ki, n, r.qs, r.set, r.vals, r.sq); err != nil {
+		return nil, 0, fmt.Errorf("rasterising: %w", err)
 	}
 	next, err := cur.WithCells(ki, cells, r.vals)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("rasterising: %w", err)
 	}
 	for i, idx := range cells {
 		r.kth[ki*r.stride+idx] = r.sq[i]
+		base := (ki*r.stride + idx) * k
+		copy(r.sets[base:base+k], r.set[i*k:(i+1)*k])
 	}
 	r.masked, r.reached = true, cells
-	return next, n, nil
+	return next, m, nil
 }
 
 // grow returns s resized to n, reallocating only when it is too small.

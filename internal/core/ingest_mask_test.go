@@ -146,7 +146,7 @@ func (g *maskRig) keyState(t *testing.T, ki int) (vals, kth []float64) {
 	t.Helper()
 	vals = make([]float64, len(g.xyz))
 	kth = make([]float64, len(g.xyz))
-	if err := g.pk.PredictKeyInto(ki, g.xyz, vals, kth); err != nil {
+	if err := g.pk.PredictKeyInto(ki, g.xyz, vals, kth, nil); err != nil {
 		t.Fatal(err)
 	}
 	return vals, kth

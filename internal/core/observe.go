@@ -53,9 +53,11 @@ func newGenObs(obs *remobs.Observer) *genObs {
 	}
 }
 
-// markStages records the learner-side stage timings (zero durations —
-// a bootstrap window has no Observe/Refit — are skipped rather than
-// polluting the low buckets).
+// markStages records the learner-side stage timings. A zero observe —
+// a bootstrap window has no Observe — is skipped rather than polluting
+// the low buckets. A zero refit is recorded: an ingest batch that needed
+// no Refit spent nothing on that stage, and the stage means must add up
+// to the generation's.
 func (o *genObs) markStages(observe, refit, rebuild time.Duration) {
 	if o == nil {
 		return
@@ -63,9 +65,7 @@ func (o *genObs) markStages(observe, refit, rebuild time.Duration) {
 	if observe > 0 {
 		o.observe.Observe(observe)
 	}
-	if refit > 0 {
-		o.refit.Observe(refit)
-	}
+	o.refit.Observe(refit)
 	o.rebuild.Observe(rebuild)
 }
 

@@ -40,10 +40,10 @@ func predictAllBits(t *testing.T, label string, a, b ml.Estimator, queries [][]f
 }
 
 // TestRegressorIncrementalIdentity is rule 7 for the shared-feature-space
-// kNN: with the insert log still unmerged, after an auto-merge, and after
-// an explicit Refit, predictions are byte-identical to a fresh regressor
-// fitted on the cumulative rows — for both the scaled one-hot and a
-// non-Euclidean (scan-only) configuration.
+// kNN: with the insert log still unmerged and after an explicit Refit,
+// predictions are byte-identical to a fresh regressor fitted on the
+// cumulative rows — for both the scaled one-hot and a non-Euclidean
+// (scan-only) configuration.
 func TestRegressorIncrementalIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -58,16 +58,14 @@ func TestRegressorIncrementalIdentity(t *testing.T) {
 			const nKeys = 5
 			x, y := knnStream(nKeys, 260, 3, rng)
 			queries, _ := knnStream(nKeys, 64, 3, rng)
-			cfg := tc.cfg
-			cfg.MergeThreshold = 40
-			inc, err := New(cfg)
+			inc, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := inc.Fit(x[:120], y[:120]); err != nil {
 				t.Fatal(err)
 			}
-			cuts := []int{120, 150, 210, 260} // 30 (logged), 60 (auto-merged), 50
+			cuts := []int{120, 150, 210, 260}
 			for c := 1; c < len(cuts); c++ {
 				dirty, err := inc.Observe(x[cuts[c-1]:cuts[c]], y[cuts[c-1]:cuts[c]])
 				if err != nil {
@@ -96,119 +94,10 @@ func TestRegressorIncrementalIdentity(t *testing.T) {
 	}
 }
 
-// TestRegressorMergeThreshold: the log merges exactly when it outgrows the
-// threshold, and batch predictions match per-sample ones while the log is
-// live.
-func TestRegressorMergeThreshold(t *testing.T) {
-	rng := simrand.New(9)
-	x, y := knnStream(3, 90, 1, rng)
-	cfg := PaperPlainConfig()
-	cfg.MergeThreshold = 25
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Fit(x[:50], y[:50]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Observe(x[50:70], y[50:70]); err != nil { // log = 20 ≤ 25
-		t.Fatal(err)
-	}
-	if r.indexed != 50 {
-		t.Fatalf("log of 20 merged early: indexed = %d", r.indexed)
-	}
-	queries, _ := knnStream(3, 32, 1, rng)
-	batch, err := r.PredictBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		v, err := r.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(v) != math.Float64bits(batch[i]) {
-			t.Fatalf("query %d: batch %x ≠ per-sample %x with live insert log", i, batch[i], v)
-		}
-	}
-	if _, err := r.Observe(x[70:90], y[70:90]); err != nil { // log = 40 > 25
-		t.Fatal(err)
-	}
-	if r.indexed != 90 {
-		t.Fatalf("log of 40 not merged: indexed = %d", r.indexed)
-	}
-}
-
-// TestDerivedMergeThreshold: with MergeThreshold unset, the insert-log
-// bound derives from the training-set size (≈√n, floored at
-// MinMergeThreshold) and grows as the set does — and the derived bound
-// changes only when the log merges, never a prediction bit (pinned by
-// TestRegressorIncrementalIdentity, which sweeps merged and unmerged
-// states).
-func TestDerivedMergeThreshold(t *testing.T) {
-	rng := simrand.New(31)
-	x, y := knnStream(3, 1000, 1, rng)
-	r, err := New(PaperPlainConfig()) // MergeThreshold unset
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny set: the floor applies.
-	if err := r.Fit(x[:9], y[:9]); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.mergeThreshold(); got != MinMergeThreshold {
-		t.Fatalf("threshold for n=9 is %d, want the %d floor", got, MinMergeThreshold)
-	}
-	if _, err := r.Observe(x[9:25], y[9:25]); err != nil { // log = 16 ≤ 16
-		t.Fatal(err)
-	}
-	if r.indexed != 9 {
-		t.Fatalf("log within the floor merged early: indexed = %d", r.indexed)
-	}
-	if _, err := r.Observe(x[25:26], y[25:26]); err != nil { // log = 17 > 16
-		t.Fatal(err)
-	}
-	if r.indexed != 26 {
-		t.Fatalf("log over the floor did not merge: indexed = %d", r.indexed)
-	}
-	// Large set: √n takes over and scales with the cumulative size.
-	if err := r.Fit(x[:900], y[:900]); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.mergeThreshold(); got != 30 {
-		t.Fatalf("threshold for n=900 is %d, want √900 = 30", got)
-	}
-	if _, err := r.Observe(x[900:930], y[900:930]); err != nil { // log = 30 ≤ 30
-		t.Fatal(err)
-	}
-	if r.indexed != 900 {
-		t.Fatalf("log within √n merged early: indexed = %d", r.indexed)
-	}
-	if _, err := r.Observe(x[930:932], y[930:932]); err != nil { // log = 32 > √932 ≈ 30.5
-		t.Fatal(err)
-	}
-	if r.indexed != 932 {
-		t.Fatalf("log over √n did not merge: indexed = %d", r.indexed)
-	}
-	// An explicit configuration still pins the bound exactly.
-	cfg := PaperPlainConfig()
-	cfg.MergeThreshold = 500
-	pinned, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pinned.Fit(x[:900], y[:900]); err != nil {
-		t.Fatal(err)
-	}
-	if got := pinned.mergeThreshold(); got != 500 {
-		t.Fatalf("explicit threshold resolved to %d", got)
-	}
-}
-
-// TestMergeRebuildsOnlyDirtySubtrees: an insert-log merge rebuilds the
-// per-MAC subtrees that gained rows and leaves every other subtree's
-// structure untouched (pointer-identical) — the cheap per-key merge the
-// log is buffered for.
+// TestMergeRebuildsOnlyDirtySubtrees: a Refit merging the insert log
+// rebuilds the per-MAC subtrees that gained rows and leaves every other
+// subtree's structure untouched (pointer-identical) — the cheap per-key
+// merge the log is buffered for.
 func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	const nKeys = 4
 	mk := func(key int, xv float64) []float64 {
@@ -226,7 +115,6 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 		}
 	}
 	cfg := PaperPlainConfig()
-	cfg.MergeThreshold = 1
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +126,10 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	for h, tr := range r.index.byKey {
 		before[h] = tr
 	}
-	// Two rows for key 2 exceed the threshold and force a merge.
 	if _, err := r.Observe([][]float64{mk(2, 9), mk(2, 10)}, []float64{-60, -61}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refit(); err != nil {
 		t.Fatal(err)
 	}
 	if r.indexed != len(r.x) {
@@ -263,6 +153,9 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	odd := mk(1, 3)
 	odd[3+1] = 2 // different scale
 	if _, err := r.Observe([][]float64{odd, mk(0, 4)}, []float64{-70, -55}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refit(); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := New(cfg)

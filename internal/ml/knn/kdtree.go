@@ -49,23 +49,27 @@ func (nb *nearest) worstSq() float64 {
 }
 
 // consider offers a candidate; it is inserted iff it precedes the current
-// k-th candidate in (dist, idx) order.
+// k-th candidate in (dist, idx) order. The list is short, so the slot is
+// found by shifting later-ranked candidates up from the tail.
 func (nb *nearest) consider(idx int, dist, sq float64) {
-	if nb.full() {
-		last := nb.nbrs[len(nb.nbrs)-1]
+	n := len(nb.nbrs)
+	if n == nb.k {
+		last := nb.nbrs[n-1]
 		if dist > last.dist || (dist == last.dist && idx > last.idx) {
 			return
 		}
-	}
-	pos := sort.Search(len(nb.nbrs), func(j int) bool {
-		n := nb.nbrs[j]
-		return n.dist > dist || (n.dist == dist && n.idx > idx)
-	})
-	if !nb.full() {
+		n--
+	} else {
 		nb.nbrs = append(nb.nbrs, neighbour{})
 	}
-	copy(nb.nbrs[pos+1:], nb.nbrs[pos:])
-	nb.nbrs[pos] = neighbour{idx: idx, dist: dist, sq: sq}
+	for ; n > 0; n-- {
+		prev := nb.nbrs[n-1]
+		if !(prev.dist > dist || (prev.dist == dist && prev.idx > idx)) {
+			break
+		}
+		nb.nbrs[n] = prev
+	}
+	nb.nbrs[n] = neighbour{idx: idx, dist: dist, sq: sq}
 }
 
 // distFunc computes (dist, squaredDist) between the query and one stored

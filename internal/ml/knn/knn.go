@@ -57,26 +57,7 @@ type Config struct {
 	// for p=2. Predictions are identical either way; the flag exists to
 	// benchmark the index against its baseline.
 	BruteForce bool
-	// MergeThreshold bounds the incremental insert log: once more than
-	// this many observed rows sit outside the KD-tree index, Observe
-	// merges them in, rebuilding only the per-MAC subtrees whose keys
-	// gained rows (rows that break the one-hot layout degrade to a full
-	// index rebuild). Queries are byte-identical before and after a
-	// merge — the log is scanned with the same canonical
-	// (distance, index) ordering the index uses — so the threshold
-	// trades only query cost against rebuild frequency. ≤ 0 derives the
-	// bound from the training-set size (≈√n, floored at
-	// MinMergeThreshold): every query scans the log linearly — O(t) for
-	// a log of t rows — while a subtree rebuild costs O(n log n)
-	// amortised over those t observations, and t ≈ √n balances the two
-	// as the set grows — a small survey merges eagerly, a large one
-	// lets the log amortise more.
-	MergeThreshold int
 }
-
-// MinMergeThreshold floors the derived ≈√n insert-log bound so tiny
-// training sets do not rebuild their index on nearly every observation.
-const MinMergeThreshold = 16
 
 // PaperPlainConfig is the paper's tuned plain kNN: k=3, distance weights,
 // Euclidean metric.
@@ -109,9 +90,9 @@ func (c Config) Validate() error {
 //
 // Regressor is incremental: Observe appends new samples to an insert log
 // that queries scan alongside the index (canonical neighbour ordering
-// makes the two paths merge byte-identically), and the log folds into the
-// KD-forest once it exceeds Config.MergeThreshold or Refit is called.
-// Observe and Refit must not run concurrently with queries.
+// makes the two paths merge byte-identically), and Refit folds the log
+// into the KD-forest. Observe and Refit must not run concurrently with
+// queries.
 type Regressor struct {
 	cfg Config
 	x   [][]float64
@@ -159,13 +140,12 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 }
 
 // Observe implements ml.IncrementalEstimator: the batch lands in the
-// insert log (immediately visible to queries) and merges into the index
-// once the log outgrows the threshold. A single shared-feature-space kNN
-// has cross-key reach — a new sample under one hot key can enter the
-// neighbour set of queries under any other key, because the one-hot
-// offset is a constant distance penalty, not a wall — so the whole
-// vocabulary is reported dirty. The per-key ensemble (PerKey) is the
-// variant with tight dirty sets.
+// insert log, immediately visible to queries; Refit merges it into the
+// index. A single shared-feature-space kNN has cross-key reach — a new
+// sample under one hot key can enter the neighbour set of queries under
+// any other key, because the one-hot offset is a constant distance
+// penalty, not a wall — so the whole vocabulary is reported dirty. The
+// per-key ensemble (PerKey) is the variant with tight dirty sets.
 func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	if r.x == nil {
 		return nil, ml.ErrNotFitted
@@ -176,34 +156,20 @@ func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	if len(x) == 0 {
 		return nil, nil
 	}
-	r.appendLog(x, y)
-	if len(r.x)-r.indexed > r.mergeThreshold() {
-		r.merge()
+	rows := make([][]float64, len(x))
+	for i, row := range x {
+		rows[i] = append([]float64(nil), row...)
 	}
+	r.appendLog(rows, y)
 	return []int{ml.DirtyAll}, nil
 }
 
-// appendLog copies validated rows onto the insert log without merging;
-// queries scan them beside the index until the next merge.
+// appendLog adopts validated rows onto the insert log — the caller hands
+// over rows nothing else mutates — without merging; queries scan them
+// beside the index until the next Refit.
 func (r *Regressor) appendLog(x [][]float64, y []float64) {
-	for _, row := range x {
-		r.x = append(r.x, append([]float64(nil), row...))
-	}
+	r.x = append(r.x, x...)
 	r.y = append(r.y, y...)
-}
-
-// mergeThreshold resolves the insert-log bound: the configured value, or
-// ≈√n derived from the current training-set size when unset (floored at
-// MinMergeThreshold). Deriving from len(r.x) means the bound grows with
-// the set: merges stay rare relative to the observations they amortise.
-func (r *Regressor) mergeThreshold() int {
-	if r.cfg.MergeThreshold > 0 {
-		return r.cfg.MergeThreshold
-	}
-	if t := int(math.Sqrt(float64(len(r.x)))); t > MinMergeThreshold {
-		return t
-	}
-	return MinMergeThreshold
 }
 
 // Refit implements ml.IncrementalEstimator: any logged rows merge into

@@ -25,9 +25,11 @@ import (
 // sub-regressor Refit merges it like any Regressor; once every key in
 // the one-hot block has one, Refit leaves its insert log unmerged, so a
 // batch costs work proportional to the batch rather than a rebuild of an
-// index over the whole history. Observe only ever appends to the log.
-// Queries that do reach the fallback scan the log beside the index and
-// get the same bits either way.
+// index over the whole history. Observe only ever appends to the logs,
+// so a caller that answers from stored neighbour sets (ExtendKeyInto)
+// can defer every kd rebuild until a full-key query path needs one.
+// Queries scan the logs beside the indexes and get the same bits either
+// way.
 type PerKey struct {
 	// Sub configures every per-key regressor (the paper keeps the tuned
 	// plain-kNN hyper-parameters).
@@ -99,8 +101,8 @@ func (p *PerKey) Fit(x [][]float64, y []float64) error {
 // key's sub-regressor (created on first sight) and to the global
 // fallback. The dirty set is the batch's keys plus every key that still
 // lacks a sub-regressor — those predict through the global fallback,
-// which any new sample moves. The fallback only logs the rows; Refit
-// decides whether to merge them. Not safe concurrently with queries.
+// which any new sample moves. Existing regressors only log the rows;
+// Refit merges them. Not safe concurrently with queries.
 func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 	if !p.fitted {
 		return nil, ml.ErrNotFitted
@@ -119,9 +121,7 @@ func (p *PerKey) Observe(x [][]float64, y []float64) ([]int, error) {
 	for key, gx := range groupsX {
 		dirty[key] = true
 		if sub, ok := p.subs[key]; ok {
-			if _, err := sub.Observe(gx, groupsY[key]); err != nil {
-				return nil, err
-			}
+			sub.appendLog(gx, groupsY[key])
 			continue
 		}
 		sub, err := New(p.Sub)
@@ -228,14 +228,17 @@ func (p *PerKey) PredictBatch(x [][]float64) ([]float64, error) {
 // row observed later for key changes out[i] only if its SquaredDistance
 // to qs[i] is strictly below kthSq[i]. It is +Inf where no such bound
 // holds: the global fallback answers the key, the key's regressor holds
-// fewer than K rows, or the metric is not Euclidean. One neighbour
-// buffer serves the whole call.
-func (p *PerKey) PredictKeyInto(key int, qs [][]float64, out, kthSq []float64) error {
+// fewer than K rows, or the metric is not Euclidean. When sets is not
+// nil it receives, K entries per query, the answer's neighbours as
+// positions among key's rows in arrival order (canonical order; -1
+// where kthSq is +Inf) — the state ExtendKeyInto resumes from. One
+// neighbour buffer serves the whole call.
+func (p *PerKey) PredictKeyInto(key int, qs [][]float64, out, kthSq []float64, sets []int32) error {
 	if !p.fitted {
 		return ml.ErrNotFitted
 	}
-	if len(out) != len(qs) || len(kthSq) != len(qs) {
-		return fmt.Errorf("knn: %d queries but %d outputs and %d bounds", len(qs), len(out), len(kthSq))
+	if len(out) != len(qs) || len(kthSq) != len(qs) || (sets != nil && len(sets) != len(qs)*p.Sub.K) {
+		return fmt.Errorf("knn: %d queries but %d outputs, %d bounds and %d set entries", len(qs), len(out), len(kthSq), len(sets))
 	}
 	r := p.keyRegressor(key)
 	bounded := r != p.global && r.cfg.MinkowskiP == 2 && len(r.x) >= r.cfg.K
@@ -249,6 +252,63 @@ func (p *PerKey) PredictKeyInto(key int, qs [][]float64, out, kthSq []float64) e
 		kthSq[i] = math.Inf(1)
 		if bounded {
 			kthSq[i] = nb.worstSq()
+		}
+		if sets != nil {
+			set := sets[i*p.Sub.K : (i+1)*p.Sub.K]
+			for j := range set {
+				set[j] = -1
+				if bounded {
+					set[j] = int32(nb.nbrs[j].idx)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// ExtendKeyInto advances neighbour sets that PredictKeyInto (or an
+// earlier ExtendKeyInto) reported for key, after Observe appended key's
+// fresh newest rows. sets holds K positions per query and is updated in
+// place; out and kthSq receive what PredictKeyInto would now report.
+//
+// Rows are only appended, and a later row loses every distance tie to
+// an earlier one, so a row outside a query's k nearest stays outside for
+// good: the new set is the canonical top K of the old set plus the fresh
+// rows. Each member's distance is recomputed from its row, so the bits
+// are Predict's whether or not the insert logs have been merged. Every
+// queried set must be bounded (a finite kthSq when reported).
+func (p *PerKey) ExtendKeyInto(key, fresh int, qs [][]float64, sets []int32, out, kthSq []float64) error {
+	if !p.fitted {
+		return ml.ErrNotFitted
+	}
+	k := p.Sub.K
+	if len(out) != len(qs) || len(kthSq) != len(qs) || len(sets) != len(qs)*k {
+		return fmt.Errorf("knn: %d queries but %d outputs, %d bounds and %d set entries", len(qs), len(out), len(kthSq), len(sets))
+	}
+	r, ok := p.subs[key]
+	if !ok || r.cfg.MinkowskiP != 2 || len(r.x) < k || fresh < 0 || fresh > len(r.x) {
+		return fmt.Errorf("knn: key %d has no bounded neighbour sets to extend by %d rows", key, fresh)
+	}
+	nb := newNearest(k)
+	from := len(r.x) - fresh
+	for i, q := range qs {
+		nb.reset()
+		set := sets[i*k : (i+1)*k]
+		for _, pos := range set {
+			if pos < 0 || int(pos) >= from {
+				return fmt.Errorf("knn: key %d query %d: stored neighbour %d outside the %d rows before the batch", key, i, pos, from)
+			}
+			d, sq := euclid(q, r.x[pos])
+			nb.consider(int(pos), d, sq)
+		}
+		for j := from; j < len(r.x); j++ {
+			d, sq := euclid(q, r.x[j])
+			nb.consider(j, d, sq)
+		}
+		out[i] = r.aggregate(nb.nbrs)
+		kthSq[i] = nb.worstSq()
+		for j, n := range nb.nbrs {
+			set[j] = int32(n.idx)
 		}
 	}
 	return nil

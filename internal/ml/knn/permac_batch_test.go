@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -85,7 +86,7 @@ func TestPerKeyPredictBatchAllocs(t *testing.T) {
 		xyz[i] = q[:3]
 	}
 	allocs = testing.AllocsPerRun(20, func() {
-		if err := p.PredictKeyInto(1, xyz, out, kth); err != nil {
+		if err := p.PredictKeyInto(1, xyz, out, kth, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -94,9 +95,10 @@ func TestPerKeyPredictBatchAllocs(t *testing.T) {
 	}
 }
 
-// bruteKth is the reference bound: the squared distance of the k-th
-// neighbour of q among rows, ranked by (sqrt of the sum, index).
-func bruteKth(q []float64, rows [][]float64, k int) float64 {
+// bruteKth is the reference set and bound: the positions of the k
+// nearest neighbours of q among rows, ranked by (sqrt of the sum,
+// index), and the k-th one's squared distance.
+func bruteKth(q []float64, rows [][]float64, k int) ([]int32, float64) {
 	type cand struct {
 		d, sq float64
 		i     int
@@ -116,12 +118,17 @@ func bruteKth(q []float64, rows [][]float64, k int) float64 {
 		}
 		return cs[a].i < cs[b].i
 	})
-	return cs[k-1].sq
+	set := make([]int32, k)
+	for i := range set {
+		set[i] = int32(cs[i].i)
+	}
+	return set, cs[k-1].sq
 }
 
 // TestPerKeyPredictKeyInto pins the key-addressed path: Predict's bits
-// with the key hot, and the k-th neighbour's squared distance as the
-// bound — +Inf for a key below K rows and for the fallback-served key.
+// with the key hot, the k nearest rows' positions as the set and the
+// k-th one's squared distance as the bound — -1s and +Inf for a key
+// below K rows and for the fallback-served key.
 func TestPerKeyPredictKeyInto(t *testing.T) {
 	p, queries := perKeyFixture(t)
 	xyz := make([][]float64, len(queries))
@@ -130,8 +137,10 @@ func TestPerKeyPredictKeyInto(t *testing.T) {
 	}
 	out := make([]float64, len(xyz))
 	kth := make([]float64, len(xyz))
+	k := p.Sub.K
+	sets := make([]int32, len(xyz)*k)
 	for key := 0; key < 5; key++ {
-		if err := p.PredictKeyInto(key, xyz, out, kth); err != nil {
+		if err := p.PredictKeyInto(key, xyz, out, kth, sets); err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range xyz {
@@ -144,16 +153,91 @@ func TestPerKeyPredictKeyInto(t *testing.T) {
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
 				t.Fatalf("key %d query %d: %x, Predict %x", key, i, out[i], want)
 			}
-			wantK := math.Inf(1)
-			if sub, ok := p.subs[key]; ok && len(sub.x) >= p.Sub.K {
-				wantK = bruteKth(q, sub.x, p.Sub.K)
+			wantSet, wantK := []int32{-1, -1, -1}, math.Inf(1)
+			if sub, ok := p.subs[key]; ok && len(sub.x) >= k {
+				wantSet, wantK = bruteKth(q, sub.x, k)
 			}
 			if math.Float64bits(kth[i]) != math.Float64bits(wantK) {
 				t.Fatalf("key %d query %d: bound %v, want %v", key, i, kth[i], wantK)
 			}
+			if set := sets[i*k : (i+1)*k]; fmt.Sprint(set) != fmt.Sprint(wantSet) {
+				t.Fatalf("key %d query %d: set %v, want %v", key, i, set, wantSet)
+			}
 		}
 	}
-	if err := p.PredictKeyInto(0, xyz, out[:1], kth); err == nil {
+	if err := p.PredictKeyInto(0, xyz, out[:1], kth, nil); err == nil {
 		t.Error("mismatched output length accepted")
+	}
+	if err := p.PredictKeyInto(0, xyz, out, kth, sets[1:]); err == nil {
+		t.Error("mismatched set length accepted")
+	}
+}
+
+// TestPerKeyExtendKeyInto pins the stored-set update to a full query:
+// after each unmerged batch for one key — rows on earlier rows, on the
+// queries themselves (zero distances) and at random — extending the
+// stored sets gives PredictKeyInto's values, bounds and sets bit for
+// bit. Keys without bounded sets are refused.
+func TestPerKeyExtendKeyInto(t *testing.T) {
+	p, queries := perKeyFixture(t)
+	const key = 1
+	xyz := make([][]float64, len(queries))
+	for i, q := range queries {
+		xyz[i] = q[:3]
+	}
+	k := p.Sub.K
+	out, kth, sets := make([]float64, len(xyz)), make([]float64, len(xyz)), make([]int32, len(xyz)*k)
+	if err := p.PredictKeyInto(key, xyz, out, kth, sets); err != nil {
+		t.Fatal(err)
+	}
+	rng := simrand.New(17)
+	for batch := 0; batch < 6; batch++ {
+		var x [][]float64
+		var y []float64
+		for j := 0; j < 1+rng.Intn(8); j++ {
+			row := make([]float64, 8)
+			switch rng.Intn(3) {
+			case 0:
+				copy(row, p.subs[key].x[rng.Intn(len(p.subs[key].x))])
+			case 1:
+				copy(row, xyz[rng.Intn(len(xyz))])
+			default:
+				row[0], row[1], row[2] = rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6)
+			}
+			row[3+key] = 1
+			x, y = append(x, row), append(y, -50-20*rng.Float64())
+		}
+		if _, err := p.Observe(x, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ExtendKeyInto(key, len(x), xyz, sets, out, kth); err != nil {
+			t.Fatal(err)
+		}
+		wantOut, wantKth, wantSets := make([]float64, len(xyz)), make([]float64, len(xyz)), make([]int32, len(sets))
+		if err := p.PredictKeyInto(key, xyz, wantOut, wantKth, wantSets); err != nil {
+			t.Fatal(err)
+		}
+		for i := range xyz {
+			if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) || math.Float64bits(kth[i]) != math.Float64bits(wantKth[i]) {
+				t.Fatalf("batch %d query %d: extended %x (bound %v), full query %x (bound %v)", batch, i, out[i], kth[i], wantOut[i], wantKth[i])
+			}
+		}
+		for j := range sets {
+			if sets[j] != wantSets[j] {
+				t.Fatalf("batch %d: stored sets %v, full query %v", batch, sets, wantSets)
+			}
+		}
+	}
+	if p.subs[key].indexed == len(p.subs[key].x) {
+		t.Fatal("Observe merged the insert log; the batches should have stayed unmerged")
+	}
+	for _, bad := range []int{3, 4} { // below K rows; no sub-regressor
+		if err := p.ExtendKeyInto(bad, 0, xyz, sets, out, kth); err == nil {
+			t.Errorf("key %d has no bounded sets but was extended", bad)
+		}
+	}
+	sets[0] = int32(len(p.subs[key].x))
+	if err := p.ExtendKeyInto(key, 0, xyz, sets, out, kth); err == nil {
+		t.Error("a stored position past the key's rows was accepted")
 	}
 }

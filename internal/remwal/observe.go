@@ -11,7 +11,8 @@ import (
 // previously only escaped inside 429 FullError responses — depth and
 // the EWMA-drain Retry-After estimate — as gauges, plus rejected-batch
 // counters split by cause; the log times appends, the fsync inside
-// them, and replay. Instruments attach via SetObserver (or
+// them, and replay, and flags the fail-stop (a gauge and one event
+// carrying the cause). Instruments attach via SetObserver (or
 // Config.Observer for the log, so replay itself is measured); nil is
 // the opt-out and costs one pointer load per operation.
 
@@ -94,6 +95,15 @@ func (l *Log) SetObserver(obs *remobs.Observer) {
 	}
 	reg.GaugeFunc("rem_wal_next_seq", "next WAL sequence number to be assigned",
 		func() float64 { return float64(l.NextSeq()) })
+	reg.GaugeFunc("rem_wal_failed", "1 once a write, fsync or rotation error has failed the log (every later append is refused), else 0",
+		func() float64 {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			if l.failed != nil {
+				return 1
+			}
+			return 0
+		})
 	l.mu.Lock()
 	l.o = o
 	l.mu.Unlock()
@@ -123,6 +133,15 @@ func (l *Log) observeReplay(records int, d time.Duration) {
 	o.replayed.Add(uint64(records))
 	o.obs.Event("wal-replay", "records=%d next_seq=%d took=%s",
 		records, l.NextSeq(), d.Round(time.Microsecond))
+}
+
+// observeFailure records the error that failed the log. Called under
+// l.mu, once per log.
+func (l *Log) observeFailure(err error) {
+	if l.o == nil {
+		return
+	}
+	l.o.obs.Event("wal-failed", "next_seq=%d cause=%v", l.nextSeq, err)
 }
 
 // obsPtr is a typed atomic holder so Queue can swap its instrument set

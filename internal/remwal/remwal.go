@@ -424,10 +424,13 @@ func (l *Log) usableLocked() error {
 	return nil
 }
 
-// failLocked makes err sticky and returns it: no later Append or Sync
-// touches the file.
+// failLocked makes the first failure sticky and returns err: no later
+// Append or Sync touches the file.
 func (l *Log) failLocked(err error) error {
-	l.failed = err
+	if l.failed == nil {
+		l.failed = err
+		l.observeFailure(err)
+	}
 	return err
 }
 

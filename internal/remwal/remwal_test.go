@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rem"
+	"repro/internal/remobs"
 )
 
 // testBatch builds a deterministic batch for key k with n observations.
@@ -375,11 +377,35 @@ func TestSyncNoneLosesOnlyUnsyncedTail(t *testing.T) {
 // acknowledged records.
 func TestLogFailStopAfterWriteError(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Config{Dir: dir})
+	obs := remobs.New(0)
+	l, _, err := Open(Config{Dir: dir, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// scrape returns the rem_wal_failed gauge and the wal-failed events,
+	// checking the exposition on the way.
+	scrape := func() (string, []remobs.Event) {
+		t.Helper()
+		body := obs.Registry.AppendPrometheus(nil)
+		if err := remobs.CheckExposition(body); err != nil {
+			t.Fatalf("exposition: %v\n%s", err, body)
+		}
+		v, ok := findSample(string(body), "rem_wal_failed")
+		if !ok {
+			t.Fatalf("rem_wal_failed missing:\n%s", body)
+		}
+		var failed []remobs.Event
+		for _, e := range obs.Events.Snapshot() {
+			if e.Kind == "wal-failed" {
+				failed = append(failed, e)
+			}
+		}
+		return v, failed
+	}
 	acked := appendBatches(t, l, []Batch{testBatch("aa:00", 2), testBatch("bb:11", 3)})
+	if v, evs := scrape(); v != "0" || len(evs) != 0 {
+		t.Fatalf("healthy log: rem_wal_failed %s, %d wal-failed events", v, len(evs))
+	}
 	closed, err := os.Open(segPath(t, dir))
 	if err != nil {
 		t.Fatal(err)
@@ -396,6 +422,13 @@ func TestLogFailStopAfterWriteError(t *testing.T) {
 	}
 	if err := l.Sync(); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("sync after a failed write: %v, want ErrLogFailed", err)
+	}
+	v, evs := scrape()
+	if v != "1" || len(evs) != 1 {
+		t.Fatalf("failed log: rem_wal_failed %s, %d wal-failed events, want 1 and one event", v, len(evs))
+	}
+	if !strings.Contains(evs[0].Text, "file already closed") {
+		t.Fatalf("wal-failed event %q does not carry the cause", evs[0].Text)
 	}
 	if err := l.Close(); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("close of a failed log: %v, want ErrLogFailed", err)
