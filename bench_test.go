@@ -868,6 +868,41 @@ func BenchmarkIngestReplay200(b *testing.B) { benchmarkIngestReplay(b, 200) }
 func BenchmarkIngestReplay2000(b *testing.B) { benchmarkIngestReplay(b, 2000) }
 
 func benchmarkIngestReplay(b *testing.B, batches int) {
+	data, replay := ingestReplayInput(batches)
+	var perBatch time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		q := remwal.NewQueue(remwal.QueueConfig{})
+		q.Close()
+		var first, last time.Time
+		cfg := core.IngestConfig{
+			Config:  core.DefaultConfig(1),
+			Queue:   q,
+			Replay:  replay,
+			Context: context.Background(),
+			OnBatch: func(r core.IngestReport) {
+				last = time.Now()
+				if r.Seq == 1 {
+					first = last
+				}
+			},
+		}
+		if _, err := core.RunIngestWithDataset(cfg, data, nil); !errors.Is(err, remwal.ErrClosed) {
+			b.Fatalf("ingest ended with %v, want queue closure", err)
+		}
+		perBatch += last.Sub(first) / time.Duration(batches-1)
+	}
+	b.ReportMetric(float64(perBatch.Microseconds())/1e3/float64(b.N), "ms/batch")
+}
+
+// ingestReplayInput is the ingest benchmarks' seeded input: a 44-key
+// survey, every key read at the same 72 waypoints, and batches of 64
+// readings, each under one key along a UAV walk of at most 0.1 m per
+// axis between readings. BenchmarkIngestReplay* and
+// TestCoverMendWorkBudget share it, so the work budget counts exactly
+// the work the benchmark times.
+func ingestReplayInput(batches int) (*dataset.Dataset, []remwal.Batch) {
 	const nKeys, waypoints, batchRows, step = 44, 72, 64, 0.1
 	rng := simrand.New(2027)
 	vol := geom.PaperScanVolume()
@@ -896,31 +931,7 @@ func benchmarkIngestReplay(b *testing.B, batches int) {
 		}
 		replay[i] = bt
 	}
-	var perBatch time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		q := remwal.NewQueue(remwal.QueueConfig{})
-		q.Close()
-		var first, last time.Time
-		cfg := core.IngestConfig{
-			Config:  core.DefaultConfig(1),
-			Queue:   q,
-			Replay:  replay,
-			Context: context.Background(),
-			OnBatch: func(r core.IngestReport) {
-				last = time.Now()
-				if r.Seq == 1 {
-					first = last
-				}
-			},
-		}
-		if _, err := core.RunIngestWithDataset(cfg, data, nil); !errors.Is(err, remwal.ErrClosed) {
-			b.Fatalf("ingest ended with %v, want queue closure", err)
-		}
-		perBatch += last.Sub(first) / time.Duration(batches-1)
-	}
-	b.ReportMetric(float64(perBatch.Microseconds())/1e3/float64(b.N), "ms/batch")
+	return data, replay
 }
 
 // benchmarkGridSearch evaluates the §III-B kNN hyper-parameter grid on a

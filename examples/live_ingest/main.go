@@ -13,9 +13,7 @@
 //     answering throughout;
 //  3. rule 10: after a simulated crash (the pipeline is torn down
 //     mid-stream, only the WAL survives), a fresh pipeline replaying the
-//     WAL publishes snapshots byte-identical to the uninterrupted run;
-//  4. WAL retention: once a snapshot is exported, Prune drops the
-//     segments whose batches it already embodies.
+//     WAL publishes snapshots byte-identical to the uninterrupted run.
 package main
 
 import (
@@ -186,40 +184,4 @@ func main() {
 	fmt.Printf("replayed run republished versions 2..4 byte-identical: %v\n", identical)
 
 	p2.stop()
-
-	fmt.Println("\n== 4. WAL retention after a snapshot export ==")
-	pruneDir, err := os.MkdirTemp("", "live-ingest-prune-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(pruneDir)
-	// Tiny segments so each batch lands in its own file.
-	l, _, err := remwal.Open(remwal.Config{Dir: pruneDir, SegmentBytes: 64})
-	if err != nil {
-		panic(err)
-	}
-	src, recs, rerr := remwal.Open(remwal.Config{Dir: walDir})
-	if rerr != nil {
-		panic(rerr)
-	}
-	if err := src.Close(); err != nil {
-		panic(err)
-	}
-	for _, r := range recs {
-		if _, err := l.Append(r.Payload); err != nil {
-			panic(err)
-		}
-	}
-	before := l.Segments()
-	// Exporting a snapshot that embodies batches 1..3 makes their
-	// segments redundant: a restart loads the snapshot and only needs
-	// newer batches.
-	if err := l.Prune(4); err != nil {
-		panic(err)
-	}
-	fmt.Printf("segments: %d before prune, %d after (the active tail always survives)\n",
-		before, l.Segments())
-	if err := l.Close(); err != nil {
-		panic(err)
-	}
 }

@@ -245,7 +245,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 		observeD := time.Since(t)
 		dirtyKeys := resolveDirty(dirty, nKeys, false)
 		t = time.Now()
-		next, cells, err := ras.next(cur, ki, x, y, dirtyKeys)
+		next, cells, err := ras.next(cur, ki, x, dirtyKeys)
 		if err != nil {
 			return fmt.Errorf("core: batch %d: %w", seq, err)
 		}
@@ -408,15 +408,15 @@ func (r *ingestRaster) bootstrap(vol geom.Cuboid, keys []string) (*rem.Map, erro
 	return m, nil
 }
 
-// next derives the generation after a batch of rows (x, y) for key ki
+// next derives the generation after a batch of rows x for key ki
 // whose Observe dirtied dirty, and reports how many cells it predicted.
 // The masked path runs when the batch dirtied exactly its own key and
 // reach applies; anything else refits and rebuilds every dirty key in
 // full.
-func (r *ingestRaster) next(cur *rem.Map, ki int, x [][]float64, y []float64, dirty []int) (*rem.Map, int, error) {
+func (r *ingestRaster) next(cur *rem.Map, ki int, x [][]float64, dirty []int) (*rem.Map, int, error) {
 	r.masked, r.refitTook = false, 0
 	if len(dirty) == 1 && dirty[0] == ki {
-		if cells, ok := r.reach(ki, x, y); ok {
+		if cells, ok := r.reach(ki, x); ok {
 			return r.extendCells(cur, ki, len(x), cells)
 		}
 	}
@@ -435,17 +435,13 @@ func (r *ingestRaster) next(cur *rem.Map, ki int, x [][]float64, y []float64, di
 // reach returns key ki's cells some row of the batch can enter the
 // neighbour set of: SquaredDistance(centre, row) < R, strictly — equal
 // sums give equal distances, and the later row loses that tie. ok is
-// false when the bounds do not apply: not the per-MAC kNN, a non-finite
-// row, or a cell of the key without a finite R (a sub-regressor below k
-// rows, or the global fallback).
-func (r *ingestRaster) reach(ki int, x [][]float64, y []float64) (cells []int, ok bool) {
+// false when the bounds do not apply: not the per-MAC kNN, or a cell of
+// the key without a finite R (a sub-regressor below k rows, or the
+// global fallback). Rows are finite: Observe, which runs first, refuses
+// any other (ml.ValidateObserved).
+func (r *ingestRaster) reach(ki int, x [][]float64) (cells []int, ok bool) {
 	if r.pk == nil {
 		return nil, false
-	}
-	for i, row := range x {
-		if !finite(row[0]) || !finite(row[1]) || !finite(row[2]) || !finite(y[i]) {
-			return nil, false
-		}
 	}
 	kth := r.kth[ki*r.stride : (ki+1)*r.stride]
 	for _, R := range kth {

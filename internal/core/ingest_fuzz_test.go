@@ -5,6 +5,9 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/remwal"
 )
 
 // FuzzIngestRaster is the differential fuzzer of the ingest loop's
@@ -13,11 +16,13 @@ import (
 // them — Observe, then next, with no Refit of the test's own. Rows snap
 // to cell centres, midpoints of two centres, earlier rows and mirror
 // images of earlier rows through a centre, so distance ties are common;
-// some batches carry a non-finite value or coordinate, or rows of a
-// second key, and so take the full-key path. After every batch the
-// derived map must equal a from-scratch build on the cumulative rows
-// (rule 7), and every stored neighbour set and bound must equal a
-// brute-force k-nearest over its key's rows.
+// some batches carry rows of a second key, and so take the full-key
+// path. After every batch the derived map must equal a from-scratch
+// build on the cumulative rows (rule 7), and every stored neighbour set
+// and bound must equal a brute-force k-nearest over its key's rows.
+// Some batches carry a non-finite value or coordinate: the queue must
+// refuse them before the WAL, and Observe must refuse them too (an
+// in-process replay), leaving the model as it was.
 func FuzzIngestRaster(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 0, 5},
@@ -74,6 +79,8 @@ func FuzzIngestRaster(f *testing.F) {
 				default:
 					x[j][2] = math.Inf(-1)
 				}
+				g.requireRefused(t, n, ki, x, y)
+				continue
 			}
 			g.fuzzStep(t, n, ki, x, y)
 		}
@@ -126,7 +133,7 @@ func (g *maskRig) fuzzStep(t *testing.T, n, ki int, x [][]float64, y []float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, _, err := g.ras.next(g.cur, ki, x, y, resolveDirty(dirty, len(g.pre.MACs), false))
+	next, _, err := g.ras.next(g.cur, ki, x, resolveDirty(dirty, len(g.pre.MACs), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +143,26 @@ func (g *maskRig) fuzzStep(t *testing.T, n, ki int, x [][]float64, y []float64) 
 	}
 	g.cur = next
 	g.checkSets(t, fmt.Sprintf("batch %d (masked=%v)", n, g.ras.masked))
+}
+
+// requireRefused asserts a batch with a non-finite row never reaches the
+// model: Queue.Submit refuses it before any WAL append, and Observe
+// refuses it as well.
+func (g *maskRig) requireRefused(t *testing.T, n, ki int, x [][]float64, y []float64) {
+	t.Helper()
+	b := remwal.Batch{Key: g.pre.MACs[ki]}
+	for i, row := range x {
+		b.Points = append(b.Points, geom.V(row[0], row[1], row[2]))
+		b.Values = append(b.Values, y[i])
+	}
+	q := remwal.NewQueue(remwal.QueueConfig{})
+	defer q.Close()
+	if _, err := q.Submit(b); err == nil {
+		t.Fatalf("batch %d: the queue accepted a non-finite row", n)
+	}
+	if _, err := g.pk.Observe(x, y); err == nil {
+		t.Fatalf("batch %d: Observe accepted a non-finite row", n)
+	}
 }
 
 // checkSets compares every stored neighbour set and bound with a

@@ -190,7 +190,7 @@ func (g *maskRig) step(t *testing.T, b remwal.Batch) {
 	}
 	g.cumX, g.cumY = append(g.cumX, x...), append(g.cumY, y...)
 	dirtyKeys := resolveDirty(dirty, len(g.pre.MACs), false)
-	next, cells, err := g.ras.next(g.cur, ki, x, y, dirtyKeys)
+	next, cells, err := g.ras.next(g.cur, ki, x, dirtyKeys)
 	if err != nil {
 		t.Fatal(err)
 	}

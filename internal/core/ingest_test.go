@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -343,5 +345,34 @@ func TestIngestValidation(t *testing.T) {
 	<-done
 	if !errors.Is(vErr, rem.ErrUnknownKey) {
 		t.Fatalf("unknown-key submit error %v does not wrap rem.ErrUnknownKey", vErr)
+	}
+}
+
+// TestIngestReplayStopsAtNonFiniteBatch: a replayed batch with a
+// non-finite coordinate or value — one an older build could have
+// acknowledged — stops the loop with an error naming its seq. It is
+// never skipped: nothing after it is published.
+func TestIngestReplayStopsAtNonFiniteBatch(t *testing.T) {
+	for _, poison := range []func(*remwal.Batch){
+		func(b *remwal.Batch) { b.Values[0] = math.NaN() },
+		func(b *remwal.Batch) { b.Points[0].Y = math.Inf(1) },
+	} {
+		replay := ingestBatches()
+		replay[1].Points = append([]geom.Vec3(nil), replay[1].Points...)
+		replay[1].Values = append([]float64(nil), replay[1].Values...)
+		poison(&replay[1])
+		q := remwal.NewQueue(remwal.QueueConfig{Capacity: 1})
+		q.Close()
+		cfg := ingestCfg()
+		cfg.Queue, cfg.Replay, cfg.Context = q, replay, context.Background()
+		published := 0
+		cfg.OnBatch = func(IngestReport) { published++ }
+		res, err := RunIngestWithDataset(cfg, streamDataset(), nil)
+		if err == nil || errors.Is(err, remwal.ErrClosed) || !strings.Contains(err.Error(), "batch 2") {
+			t.Fatalf("replay ended with %v, want an error naming batch 2", err)
+		}
+		if published != 1 || res.Store.Current().Version() != 2 {
+			t.Fatalf("published %d batches up to version %d, want 1 up to version 2", published, res.Store.Current().Version())
+		}
 	}
 }

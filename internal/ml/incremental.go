@@ -39,9 +39,10 @@ type IncrementalEstimator interface {
 	Refit() error
 }
 
-// ValidateObserved performs the shape checks every Observe needs: rows
-// consistent with each other and with the fitted feature dimension.
-// Empty batches are allowed (and dirty nothing).
+// ValidateObserved performs the checks every Observe needs: rows
+// consistent with each other and with the fitted feature dimension, and
+// finite (see checkFinite). Empty batches are allowed (and dirty
+// nothing).
 func ValidateObserved(x [][]float64, y []float64, dim int) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("ml: %d feature rows but %d targets", len(x), len(y))
@@ -51,7 +52,7 @@ func ValidateObserved(x [][]float64, y []float64, dim int) error {
 			return fmt.Errorf("ml: observed row %d has %d features, want %d", i, len(row), dim)
 		}
 	}
-	return nil
+	return checkFinite(x, y)
 }
 
 // RefitAdapter lifts any Estimator into the IncrementalEstimator contract

@@ -42,7 +42,8 @@ type Named interface {
 // ErrNotFitted is returned by Predict before Fit.
 var ErrNotFitted = errors.New("ml: estimator not fitted")
 
-// ValidateTrainingData performs the shape checks every estimator needs.
+// ValidateTrainingData performs the checks every estimator needs: a
+// consistent non-empty shape and finite rows (see checkFinite).
 func ValidateTrainingData(x [][]float64, y []float64) error {
 	if len(x) == 0 {
 		return errors.New("ml: empty training set")
@@ -57,6 +58,26 @@ func ValidateTrainingData(x [][]float64, y []float64) error {
 	for i, row := range x {
 		if len(row) != dim {
 			return fmt.Errorf("ml: row %d has %d features, want %d", i, len(row), dim)
+		}
+	}
+	return checkFinite(x, y)
+}
+
+// checkFinite rejects a row with a non-finite feature or target. A NaN
+// has no rank among neighbour distances and an infinity swamps every
+// mean, so such a row would make answers depend on arrival order
+// instead of failing loudly. v-v is 0 for every finite v and NaN for
+// ±Inf and NaN: one subtraction per element, on the path every
+// observed batch takes.
+func checkFinite(x [][]float64, y []float64) error {
+	for i, row := range x {
+		for j, v := range row {
+			if v-v != 0 {
+				return fmt.Errorf("ml: row %d feature %d is not finite (%v)", i, j, v)
+			}
+		}
+		if y[i]-y[i] != 0 {
+			return fmt.Errorf("ml: row %d target is not finite (%v)", i, y[i])
 		}
 	}
 	return nil

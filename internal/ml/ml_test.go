@@ -48,6 +48,29 @@ func TestValidateTrainingData(t *testing.T) {
 	}
 }
 
+// TestValidatorsRejectNonFinite: both validators refuse a NaN or ±Inf
+// feature or target, so no estimator's Fit or Observe ranks or averages
+// a non-finite row.
+func TestValidatorsRejectNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for j := 0; j < 3; j++ {
+			x := [][]float64{{1, 2}, {3, 4}}
+			y := []float64{1, 2}
+			if j < 2 {
+				x[1][j] = v
+			} else {
+				y[1] = v
+			}
+			if err := ValidateTrainingData(x, y); err == nil {
+				t.Errorf("ValidateTrainingData accepted %v at position %d", v, j)
+			}
+			if err := ValidateObserved(x, y, 2); err == nil {
+				t.Errorf("ValidateObserved accepted %v at position %d", v, j)
+			}
+		}
+	}
+}
+
 func TestRMSEKnownValues(t *testing.T) {
 	got, err := RMSE([]float64{1, 2, 3}, []float64{1, 2, 3})
 	if err != nil || got != 0 {

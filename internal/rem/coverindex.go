@@ -55,9 +55,12 @@ import (
 //
 // The index is tiled like cell storage (TileCells cubes per tile, cube
 // index == flat cell index of the cube's low corner) and shared
-// copy-on-write across generations: mendCover re-derives bounds only for
-// dirty keys and re-filters only the cubes whose corner set intersects a
-// changed cell, aliasing every untouched index tile with the parent.
+// copy-on-write across generations. Every derivation — WithCells,
+// RebuildKeys and a follower's ApplyDelta — mends it the same way:
+// changedCells finds the cells whose bits changed, and mendCover
+// re-derives bounds only for their keys and re-filters only the cubes
+// whose corner set holds such a cell, aliasing every other index tile
+// with the parent.
 
 // coverMarginFrac scales the pruning margin: a key is kept as a candidate
 // unless its upper bound is below L - A*coverMarginFrac. The trilinear
@@ -316,49 +319,61 @@ func (m *Map) cellMaxIndexed(ci *coverIndex, idx int, best float64) float64 {
 	return best
 }
 
-// mendCoverTiles is mendCoverFrom given the flat tile indices whose cell
-// content changed (ascending): every cell of a changed tile counts as
-// changed.
-func (m *Map) mendCoverTiles(parent *Map, changed []int) {
-	var dirty []int
-	var cells []uint64
-	for _, t := range changed {
-		ki := t / m.tilesPerKey
-		if len(dirty) == 0 || dirty[len(dirty)-1] != ki {
-			dirty = append(dirty, ki)
+// changedCells describes how the derived map child differs from its
+// parent: every tile of child not aliased to parent's is compared cell by
+// cell on the raw bits, and the keys holding a changed cell (ascending)
+// come back with a bitset over cell indices marking every changed cell.
+// cells is nil when nothing changed. This is the one change description
+// every derivation mends from, so two replicas deriving the same cells
+// from the same parent index mend the same cubes.
+func changedCells(parent, child *Map) (dirty []int, cells []uint64) {
+	for t, ct := range child.tiles {
+		pt := parent.tiles[t]
+		if &ct[0] == &pt[0] {
+			continue
 		}
-		if cells == nil {
-			cells = make([]uint64, (m.stride+63)/64)
-		}
-		lt := t % m.tilesPerKey
-		for idx, hi := lt*TileCells, lt*TileCells+m.tileLen(lt); idx < hi; idx++ {
+		ki, lo := t/child.tilesPerKey, (t%child.tilesPerKey)*TileCells
+		for i, v := range ct {
+			if math.Float64bits(v) == math.Float64bits(pt[i]) {
+				continue
+			}
+			if cells == nil {
+				cells = make([]uint64, (child.stride+63)/64)
+			}
+			idx := lo + i
 			cells[idx>>6] |= 1 << (idx & 63)
+			if len(dirty) == 0 || dirty[len(dirty)-1] != ki {
+				dirty = append(dirty, ki)
+			}
 		}
 	}
-	m.mendCoverFrom(parent, dirty, cells)
+	return dirty, cells
 }
 
 // mendCoverFrom carries parent's coverage index over to the derived map m
-// (same geometry and vocabulary), given the keys whose cells changed
-// (ascending) and a bitset over cell indices holding every changed
-// cell. No-op when the parent has no index. Cost scales with the changed
-// cells, not the vocabulary: per affected cube the dirty keys' bounds
-// are re-derived (8 reads each) and the candidate mask re-filtered;
-// untouched index tiles are shared by pointer with the parent. The
-// mended entries can be conservatively looser than a from-scratch build
-// (the amplitude A only grows on the cheap path), which costs
-// candidates, never correctness — rule 9 pins query results, not index
-// bytes.
-func (m *Map) mendCoverFrom(parent *Map, dirty []int, cells []uint64) {
+// (same geometry and vocabulary, every tile either aliased to parent's or
+// m's own), mending around the cells changedCells reports. No-op when the
+// parent has no index; shares it outright when no cell changed. Cost
+// scales with the changed cells, not the vocabulary: per affected cube
+// the dirty keys' bounds are re-derived (8 reads each) and the candidate
+// mask re-filtered; untouched index tiles are shared by pointer with the
+// parent. The mended entries can be conservatively looser than a
+// from-scratch build (the amplitude A only grows on the cheap path),
+// which costs candidates, never correctness — rule 9 pins query results.
+// The mend is a pure function of the parent index and the two maps'
+// cells, so along an unbroken delta chain from one fresh build a
+// follower's index equals the leader's byte for byte.
+func (m *Map) mendCoverFrom(parent *Map) {
 	ci := parent.cover.Load()
 	if ci == nil {
 		return
 	}
+	start := time.Now()
+	dirty, cells := changedCells(parent, m)
 	if len(dirty) == 0 {
 		m.cover.Store(ci)
 		return
 	}
-	start := time.Now()
 	m.cover.Store(m.mendCover(ci, dirty, cells))
 	m.coverMendNs = time.Since(start).Nanoseconds()
 }

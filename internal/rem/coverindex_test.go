@@ -118,7 +118,14 @@ func requireRule9(t *testing.T, rng *simrand.Source, m *Map, tag string) {
 				tag, i, ik[i], math.Float64bits(iv[i]), bk[i], math.Float64bits(bv[i]))
 		}
 	}
-	for _, thr := range []float64{math.Inf(-1), -120, -75, -40, 0, math.Inf(1)} {
+	requireDarkRule9(t, m, tag, math.Inf(-1), -120, -75, -40, 0, math.Inf(1))
+}
+
+// requireDarkRule9 asserts indexed ≡ brute, bit for bit, on dark-region
+// sweeps at each threshold.
+func requireDarkRule9(t *testing.T, m *Map, tag string, thresholds ...float64) {
+	t.Helper()
+	for _, thr := range thresholds {
 		di := m.DarkRegions(thr)
 		db := m.DarkRegionsBrute(thr)
 		if len(di) != len(db) {
@@ -199,8 +206,8 @@ func TestCoverIndexMendRebuildKeys(t *testing.T) {
 }
 
 // TestCoverIndexMendApplyDelta: rule 9 holds on a follower's generation
-// derived by ApplyDelta, whose index is mended from the base using the
-// delta's own changed-tile table.
+// derived by ApplyDelta, whose index is mended from the base around the
+// cells whose bits the delta changed.
 func TestCoverIndexMendApplyDelta(t *testing.T) {
 	rng := simrand.New(31337)
 	for trial := 0; trial < 15; trial++ {

@@ -232,7 +232,6 @@ func ApplyDelta(base *Map, data []byte) (*Map, error) {
 		version:     nextVer,
 	}
 	off := dataOff
-	changed := make([]int, int(nChanged))
 	for i := 0; i < int(nChanged); i++ {
 		t := int(U32(body[idxOff+4*i:]))
 		tile := make([]float64, base.tileLen(t%base.tilesPerKey))
@@ -241,11 +240,10 @@ func ApplyDelta(base *Map, data []byte) (*Map, error) {
 			off += 8
 		}
 		child.tiles[t] = tile
-		changed[i] = t
 	}
-	// The delta's tile index table says exactly which cells moved, so the
-	// coverage index is mended, not rebuilt: only cubes touching a changed
-	// cell are re-filtered, and untouched index tiles stay shared.
-	child.mendCoverTiles(base, changed)
+	// The delta ships whole tiles, but comparing each against the base's
+	// recovers exactly the cells whose bits the leader's derivation changed,
+	// so the follower mends the same cubes the leader mended.
+	child.mendCoverFrom(base)
 	return child, nil
 }

@@ -96,10 +96,11 @@ type Map struct {
 	// result, only its cost, and is ignored by the codec and by Equal.
 	cover atomic.Pointer[coverIndex]
 	// coverMended / coverMendNs record the last index mend applied while
-	// deriving this map (RebuildKeys, ApplyDelta): how many cubes were
-	// re-filtered and how long the mend took. Build provenance for the
-	// observability layer — written before the map becomes visible, zero
-	// for from-scratch builds, ignored by the codec and by Equal.
+	// deriving this map (WithCells, RebuildKeys, ApplyDelta): how many
+	// cubes were re-filtered and how long the mend took. Build provenance
+	// for the observability layer — written before the map becomes
+	// visible, zero for from-scratch builds, ignored by the codec and by
+	// Equal.
 	coverMended int
 	coverMendNs int64
 }

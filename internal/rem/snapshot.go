@@ -95,18 +95,9 @@ func (m *Map) RebuildKeysRange(dirty []int, predict RangePredictFunc, opts Build
 	if err != nil {
 		return nil, err
 	}
-	// Carry the coverage index forward: re-derive bounds only for keys
-	// whose tiles actually changed content (a re-predicted key often
-	// reproduces some tiles bit-for-bit) and re-filter only the cubes
-	// those cells touch, sharing every other index tile with the parent.
-	if m.cover.Load() != nil {
-		changed, err := DiffTiles(m, child)
-		if err != nil {
-			// Unreachable: the child shares m's geometry by construction.
-			return nil, err
-		}
-		child.mendCoverTiles(m, changed)
-	}
+	// Carry the coverage index forward around the cells whose bits changed
+	// (a re-predicted key often reproduces most of its cells bit for bit).
+	child.mendCoverFrom(m)
 	return child, nil
 }
 
@@ -139,7 +130,6 @@ func (m *Map) WithCells(ki int, cells []int, vals []float64) (*Map, error) {
 		return nil, fmt.Errorf("rem: %d cells but %d values", len(cells), len(vals))
 	}
 	child := m.derive()
-	var changed []uint64 // bitset over one key's cells, allocated on the first change
 	for i, idx := range cells {
 		if idx < 0 || idx >= m.stride {
 			return nil, fmt.Errorf("rem: cell %d outside [0, %d)", idx, m.stride)
@@ -152,18 +142,8 @@ func (m *Map) WithCells(ki int, cells []int, vals []float64) (*Map, error) {
 			child.tiles[t] = append([]float64(nil), m.tiles[t]...)
 		}
 		child.tiles[t][idx&tileMask] = vals[i]
-		if changed == nil {
-			changed = make([]uint64, (m.stride+63)/64)
-		}
-		changed[idx>>6] |= 1 << (idx & 63)
 	}
-	if m.cover.Load() != nil {
-		var dirty []int
-		if changed != nil {
-			dirty = []int{ki}
-		}
-		child.mendCoverFrom(m, dirty, changed)
-	}
+	child.mendCoverFrom(m)
 	return child, nil
 }
 

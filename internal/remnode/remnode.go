@@ -164,7 +164,10 @@ func (n *Node) assemble() error {
 		batches, good := remwal.Batches(recs)
 		if good != len(recs) {
 			l.Close()
-			return fmt.Errorf("wal %s: record %d does not decode as an observation batch (wrong directory?)", c.WALDir, recs[good].Seq)
+			// A wrong directory, or a non-finite batch an older build
+			// acknowledged: never skipped, so every restart stops here.
+			_, derr := remwal.DecodeBatch(recs[good].Payload)
+			return fmt.Errorf("wal %s: record %d is not a valid observation batch: %w", c.WALDir, recs[good].Seq, derr)
 		}
 		n.wal, n.replay, qc.Log = l, batches, l
 	}

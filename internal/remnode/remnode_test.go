@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -421,6 +422,36 @@ func TestStartRejectsUndecodableWALRecord(t *testing.T) {
 	}
 	if recs := reopen(t, dir); len(recs) != 2 {
 		t.Fatalf("the WAL holds %d records after the failed starts, want 2", len(recs))
+	}
+}
+
+// A WAL record holding a non-finite observation, which an older build
+// could acknowledge, fails Start with its seq and the cause on every
+// attempt: it is never skipped.
+func TestStartRejectsNonFiniteWALRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := remwal.Open(remwal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := batch(1)
+	bad.Values[0] = math.NaN()
+	for _, b := range []remwal.Batch{batch(0), bad, batch(2)} {
+		if _, err := l.Append(remwal.AppendBatch(nil, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		_, err := Start(ingester(dir))
+		if err == nil || !strings.Contains(err.Error(), "record 2 ") || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("Start = %v, want an error naming record 2 and its non-finite value", err)
+		}
+	}
+	if recs := reopen(t, dir); len(recs) != 3 {
+		t.Fatalf("the WAL holds %d records after the failed starts, want 3", len(recs))
 	}
 }
 

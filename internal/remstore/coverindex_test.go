@@ -32,9 +32,8 @@ func gradPredict(gen int) rem.BatchPredictFunc {
 }
 
 // TestPublishBuildsCoverIndex: a published map carries a coverage index
-// (built at publish time before the snapshot becomes visible) unless
-// indexing is opted out, and either way the served answers match the
-// brute scan (rule 9 at the store layer).
+// (built at publish time before the snapshot becomes visible), and the
+// served answers match the brute scan (rule 9 at the store layer).
 func TestPublishBuildsCoverIndex(t *testing.T) {
 	keys := []string{"a", "b", "c"}
 	st := New(2)
@@ -53,22 +52,6 @@ func TestPublishBuildsCoverIndex(t *testing.T) {
 	bk, bv := s.Map().StrongestBrute(p)
 	if key != bk || math.Float64bits(v) != math.Float64bits(bv) {
 		t.Fatalf("indexed store answer (%q, %v) != brute (%q, %v)", key, v, bk, bv)
-	}
-
-	opt := New(2)
-	opt.SetCoverIndexing(false)
-	if _, err := opt.Publish(gradMap(t, 1, keys), len(keys)); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Current().Map().HasCoverIndex() {
-		t.Fatal("opted-out store built an index anyway")
-	}
-	ok, ov, _, err := opt.Strongest(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok != key || math.Float64bits(ov) != math.Float64bits(v) {
-		t.Fatalf("opt-out changed the answer: (%q, %v) != (%q, %v)", ok, ov, key, v)
 	}
 }
 

@@ -100,11 +100,6 @@ type Store struct {
 	// age-based retention is testable without sleeping.
 	now func() time.Time
 
-	// noIndex disables publish-time coverage-index construction (the
-	// opt-out; see SetCoverIndexing). Guarded by mu like the rest of the
-	// publish path.
-	noIndex bool
-
 	// o is the attached instrument set (observe.go); nil means
 	// uninstrumented. Guarded by mu: written once by SetObserver, read
 	// on the publish path, never on the query path.
@@ -126,17 +121,6 @@ func New(maxHistory int) *Store {
 		maxHistory = DefaultMaxHistory
 	}
 	return &Store{retain: Retention{MaxCount: maxHistory}, now: time.Now}
-}
-
-// SetCoverIndexing toggles publish-time coverage-index construction (on
-// by default). With it off, snapshots without an index serve
-// Strongest/StrongestBatch via the brute O(keys) scan — same results
-// (rule 9), pre-index cost. Maps that already carry an index (a mended
-// RebuildKeys/ApplyDelta generation) keep it either way.
-func (st *Store) SetCoverIndexing(on bool) {
-	st.mu.Lock()
-	st.noIndex = !on
-	st.mu.Unlock()
 }
 
 // SetRetention updates the history policy and prunes immediately.
@@ -241,12 +225,9 @@ func (st *Store) publish(m *rem.Map, builtKeys int, version uint64) (*Snapshot, 
 	// store. Incremental generations usually arrive with a mended index
 	// already attached (RebuildKeys/ApplyDelta carry it forward); this
 	// covers from-scratch builds and codec-loaded maps.
-	var indexD time.Duration
-	if !st.noIndex {
-		t0 := time.Now()
-		m.BuildCoverIndex()
-		indexD = time.Since(t0)
-	}
+	t0 := time.Now()
+	m.BuildCoverIndex()
+	indexD := time.Since(t0)
 	s := &Snapshot{m: m, version: version, publishedAt: st.now(), builtKeys: builtKeys}
 	if prev != nil {
 		s.sharedTiles = m.SharedTiles(prev.m)

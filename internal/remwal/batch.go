@@ -93,19 +93,13 @@ func DecodeBatch(body []byte) (Batch, error) {
 	}
 	off := batchHeaderLen + int(keyLen)
 	for i := range b.Points {
-		x := rem.F64(body[off:])
-		y := rem.F64(body[off+8:])
-		z := rem.F64(body[off+16:])
-		v := rem.F64(body[off+24:])
-		if !finite(x) || !finite(y) || !finite(z) {
-			return Batch{}, fmt.Errorf("remwal: observation %d's point is not finite", i)
-		}
-		if !finite(v) {
-			return Batch{}, fmt.Errorf("remwal: observation %d's value is not finite", i)
-		}
+		x, y, z := rem.F64(body[off:]), rem.F64(body[off+8:]), rem.F64(body[off+16:])
 		b.Points[i] = geom.Vec3{X: x, Y: y, Z: z}
-		b.Values[i] = v
+		b.Values[i] = rem.F64(body[off+24:])
 		off += obsLen
+	}
+	if err := checkFinite(b); err != nil {
+		return Batch{}, err
 	}
 	return b, nil
 }
@@ -124,6 +118,22 @@ func Batches(recs []Record) ([]Batch, int) {
 		out = append(out, b)
 	}
 	return out, len(recs)
+}
+
+// checkFinite is the finite-input contract of the durability boundary:
+// every coordinate and value of a batch is finite. Submit applies it
+// before the WAL append and DecodeBatch on every wire and replayed
+// record, so no non-finite observation reaches the log or the model.
+func checkFinite(b Batch) error {
+	for i, p := range b.Points {
+		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return fmt.Errorf("remwal: observation %d's point is not finite", i)
+		}
+		if !finite(b.Values[i]) {
+			return fmt.Errorf("remwal: observation %d's value is not finite", i)
+		}
+	}
+	return nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

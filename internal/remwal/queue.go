@@ -93,7 +93,10 @@ func (q *Queue) SetValidator(fn func(Batch) error) {
 }
 
 // Submit validates, persists and enqueues one batch, returning its WAL
-// sequence number (0 without a Log). A full queue returns *FullError
+// sequence number (0 without a Log). A batch whose shape is wrong, that
+// carries a non-finite coordinate or value, or that the installed
+// validator rejects is counted as invalid and never reaches the WAL, for
+// every caller — HTTP edge or in-process. A full queue returns *FullError
 // without persisting anything — the client retries and no duplicate
 // record is left behind; a closed queue returns ErrClosed.
 func (q *Queue) Submit(b Batch) (uint64, error) {
@@ -105,6 +108,10 @@ func (q *Queue) Submit(b Batch) (uint64, error) {
 	if len(b.Points) == 0 {
 		o.markInvalid()
 		return 0, errors.New("remwal: empty observation batch")
+	}
+	if err := checkFinite(b); err != nil {
+		o.markInvalid()
+		return 0, err
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -3,10 +3,14 @@ package remwal
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/remobs"
 )
 
 // fakeClock mirrors the rate-limiter tests' deterministic clock: the
@@ -128,6 +132,52 @@ func TestQueueValidatorGatesWAL(t *testing.T) {
 	}
 	if _, err := q.Submit(Batch{Key: "aa:00"}); err == nil {
 		t.Fatal("empty batch accepted")
+	}
+}
+
+// TestQueueRejectsNonFinite: a non-finite coordinate or value is refused
+// before the WAL append for every caller, counted as invalid, and leaves
+// no record behind — replay only ever sees finite batches.
+func TestQueueRejectsNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	obs := remobs.New(0)
+	q := NewQueue(QueueConfig{Capacity: 4, Log: l})
+	q.SetObserver(obs)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	rejected := 0
+	for field := 0; field < 4; field++ {
+		for _, v := range bad {
+			b := obsBatch(3)
+			switch field {
+			case 0:
+				b.Points[1].X = v
+			case 1:
+				b.Points[1].Y = v
+			case 2:
+				b.Points[1].Z = v
+			default:
+				b.Values[1] = v
+			}
+			if _, err := q.Submit(b); err == nil {
+				t.Fatalf("field %d = %v accepted", field, v)
+			}
+			rejected++
+		}
+	}
+	if next := l.NextSeq(); next != 1 {
+		t.Fatalf("log NextSeq = %d after only rejected batches, want 1", next)
+	}
+	if seq, err := q.Submit(obsBatch(3)); err != nil || seq != 1 {
+		t.Fatalf("finite submit: seq %d err %v", seq, err)
+	}
+	want := fmt.Sprintf(`rem_wal_queue_rejected_total{cause="invalid"} %d`, rejected)
+	if text := string(obs.Registry.AppendPrometheus(nil)); !strings.Contains(text, want) {
+		t.Fatalf("scrape missing %q:\n%s", want, text)
 	}
 }
 

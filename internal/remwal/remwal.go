@@ -15,9 +15,9 @@
 //
 // Records are observation batches in the "REMO" encoding (batch.go),
 // but the log itself is payload-agnostic. Segments are named
-// <first-seq, 16 hex digits>.reml, rotate at SegmentBytes, and are
-// pruned as whole files by Prune once the observations they hold are
-// folded into a durably exported snapshot.
+// <first-seq, 16 hex digits>.reml and rotate at SegmentBytes. Segments
+// are never pruned: a restart replays the whole history, which rule 10
+// needs until a durable checkpoint exists to replay from.
 //
 // The replayer (Open) is the crash-recovery half of determinism
 // contract rule 10: it scans the segments in sequence order and
@@ -56,9 +56,8 @@ const (
 	// recHeaderLen frames one record: payload length, payload CRC.
 	recHeaderLen = 4 + 4
 
-	// DefaultSegmentBytes rotates segments at 4 MiB — small enough that
-	// retention (Prune) reclaims space promptly, large enough that a
-	// directory holds few files.
+	// DefaultSegmentBytes rotates segments at 4 MiB, so a directory
+	// holds few files and no one file grows without bound.
 	DefaultSegmentBytes = 4 << 20
 
 	// maxRecordLen bounds one record payload, mirroring the serving
@@ -133,8 +132,7 @@ type Log struct {
 	f       *os.File // active segment, open for append
 	size    int64    // bytes written to the active segment
 	nextSeq uint64
-	segs    []segment // in sequence order; last is active
-	scratch []byte    // frame assembly buffer, reused across appends
+	scratch []byte // frame assembly buffer, reused across appends
 	closed  bool
 	failed  error // the first write, fsync or rotation error; sticky
 	// o is the attached instrument set (observe.go); nil means
@@ -160,11 +158,11 @@ func Open(cfg Config) (*Log, []Record, error) {
 	l := &Log{dir: cfg.Dir, sync: cfg.Sync, segBytes: cfg.SegmentBytes}
 	l.SetObserver(cfg.Observer)
 	replayStart := time.Now()
-	recs, err := l.replay()
+	recs, tail, err := l.replay()
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := l.openActive(); err != nil {
+	if err := l.openActive(tail); err != nil {
 		return nil, nil, err
 	}
 	l.observeReplay(len(recs), time.Since(replayStart))
@@ -204,23 +202,22 @@ func (l *Log) listSegments() ([]segment, error) {
 // repairing the log in place: the first segment with a corrupt header
 // (or a sequence gap) is deleted along with everything after it; a
 // segment with a corrupt record is truncated at the last good offset
-// and everything after it is deleted.
-func (l *Log) replay() ([]Record, error) {
+// and everything after it is deleted. tail is the last segment kept
+// (nil when none is).
+func (l *Log) replay() (recs []Record, tail *segment, err error) {
 	segs, err := l.listSegments()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var recs []Record
 	l.nextSeq = 1
 	for i, s := range segs {
 		if i == 0 {
-			// The first remaining segment fixes the numbering origin —
-			// earlier segments may have been pruned.
+			// The first remaining segment fixes the numbering origin.
 			l.nextSeq = s.firstSeq
 		}
 		data, err := os.ReadFile(s.path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		good, segRecs := scanSegment(data, s.firstSeq)
 		headerOK := good > 0
@@ -228,9 +225,9 @@ func (l *Log) replay() ([]Record, error) {
 			// A corrupt header or a gap in the sequence: this segment and
 			// everything after it are unusable.
 			if err := removeAll(segs[i:]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return recs, nil
+			return recs, tail, nil
 		}
 		recs = append(recs, segRecs...)
 		l.nextSeq = s.firstSeq + uint64(len(segRecs))
@@ -238,17 +235,16 @@ func (l *Log) replay() ([]Record, error) {
 			// A torn or corrupt record: keep the intact prefix, drop the
 			// tail and every later segment.
 			if err := os.Truncate(s.path, good); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := removeAll(segs[i+1:]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			l.segs = append(l.segs, s)
-			return recs, nil
+			return recs, &segs[i], nil
 		}
-		l.segs = append(l.segs, s)
+		tail = &segs[i]
 	}
-	return recs, nil
+	return recs, tail, nil
 }
 
 // scanSegment validates one segment's bytes: the byte offset of the
@@ -295,13 +291,12 @@ func removeAll(segs []segment) error {
 }
 
 // openActive opens the last replayed segment for append, or creates
-// the first one.
-func (l *Log) openActive() error {
-	if len(l.segs) == 0 {
+// the first one when replay kept none.
+func (l *Log) openActive(tail *segment) error {
+	if tail == nil {
 		return l.createSegment()
 	}
-	s := l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
@@ -341,7 +336,6 @@ func (l *Log) createSegment() error {
 		}
 	}
 	l.f, l.size = f, segHeaderLen
-	l.segs = append(l.segs, segment{path: path, firstSeq: l.nextSeq})
 	return nil
 }
 
@@ -489,38 +483,4 @@ func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextSeq
-}
-
-// Prune deletes whole segments every one of whose records has sequence
-// number < beforeSeq — retention keyed to published snapshot versions:
-// once a snapshot that folds in observation seq S is durably exported,
-// Prune(S+1) reclaims the segments replay no longer needs. The active
-// segment is never removed, so the log stays appendable.
-func (l *Log) Prune(beforeSeq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrLogClosed
-	}
-	kept := l.segs[:0]
-	for i, s := range l.segs {
-		last := i == len(l.segs)-1
-		// A non-final segment's records end where the next one starts.
-		if !last && l.segs[i+1].firstSeq <= beforeSeq {
-			if err := os.Remove(s.path); err != nil {
-				return err
-			}
-			continue
-		}
-		kept = append(kept, s)
-	}
-	l.segs = kept
-	return nil
-}
-
-// Segments returns the number of on-disk segment files.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
 }

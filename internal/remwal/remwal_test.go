@@ -133,7 +133,9 @@ func TestLogRoundTripAndCloseDurability(t *testing.T) {
 	}
 }
 
-func TestLogRotationAndPrune(t *testing.T) {
+// TestLogRotation: tiny segments rotate on every record, and replay
+// spans every segment in sequence order.
+func TestLogRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record rotates.
 	l, _, err := Open(Config{Dir: dir, SegmentBytes: 64})
@@ -148,8 +150,8 @@ func TestLogRotationAndPrune(t *testing.T) {
 		}
 		payloads = append(payloads, p)
 	}
-	if l.Segments() < 2 {
-		t.Fatalf("expected rotation, have %d segment(s)", l.Segments())
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.reml")); len(segs) < 2 {
+		t.Fatalf("expected rotation, have %d segment(s)", len(segs))
 	}
 	// Replay spans all segments.
 	if err := l.Close(); err != nil {
@@ -159,6 +161,7 @@ func TestLogRotationAndPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	if len(recs) != 5 {
 		t.Fatalf("replayed %d records, want 5", len(recs))
 	}
@@ -167,34 +170,9 @@ func TestLogRotationAndPrune(t *testing.T) {
 			t.Fatalf("record %d payload differs after rotation", i)
 		}
 	}
-	// Prune everything folded into a snapshot through seq 3: segments
-	// wholly below 4 go away, replay resumes mid-sequence.
-	before := l.Segments()
-	if err := l.Prune(4); err != nil {
-		t.Fatal(err)
-	}
-	if l.Segments() >= before {
-		t.Fatalf("prune removed nothing (%d → %d segments)", before, l.Segments())
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, recs, err = Open(Config{Dir: dir, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if len(recs) == 0 || recs[len(recs)-1].Seq != 5 {
-		t.Fatalf("post-prune replay ends at %v, want seq 5", recs)
-	}
-	for _, r := range recs {
-		if !bytes.Equal(r.Payload, payloads[r.Seq-1]) {
-			t.Fatalf("post-prune record %d payload differs", r.Seq)
-		}
-	}
-	// Numbering still continues from the true tail.
+	// Numbering continues from the tail segment.
 	if seq, err := l.Append([]byte("y")); err != nil || seq != 6 {
-		t.Fatalf("post-prune append: seq %d err %v", seq, err)
+		t.Fatalf("post-replay append: seq %d err %v", seq, err)
 	}
 }
 
